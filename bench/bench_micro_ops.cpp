@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the numeric kernels every
 // experiment is built on: matmul (blocked GEMM, persistent-pool vs
-// spawn-per-call dispatch), im2col/GEMM vs naive convolution,
+// spawn-per-call dispatch), im2col/GEMM Conv2d vs the direct-loop reference
+// convolution in tests/reference_conv.h,
 // softmax/cross-entropy, the CIP blending function, and a full dual-channel
 // forward/backward step. docs/BENCHMARKS.md explains how
 // scripts/bench_baseline.sh turns this suite into the committed
@@ -21,6 +22,7 @@
 #include "core/blend.h"
 #include "nn/backbones.h"
 #include "nn/conv2d.h"
+#include "reference_conv.h"
 #include "tensor/ops.h"
 
 namespace cip {
@@ -45,9 +47,10 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
-// Same GEMM, legacy spawn-a-thread-per-chunk dispatch (CIP_SPAWN_THREADS=1
-// path). The BM_Matmul/64-vs-BM_MatmulSpawn/64 ratio at CIP_THREADS=4 is the
-// committed dispatch-overhead gate: the persistent pool must win by >= 1.3x.
+// Same GEMM, spawn-per-call dispatch (internal::SetSpawnPerCallForTesting:
+// the busy-pool fallback at full budget). The BM_Matmul/64-vs-
+// BM_MatmulSpawn/64 ratio at CIP_THREADS=4 is the committed
+// dispatch-overhead gate: the persistent pool must win by >= 1.3x.
 void BM_MatmulSpawn(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Tensor a = RandomTensor({n, n}, 1);
@@ -119,28 +122,24 @@ void BM_MatmulTransB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulTransB)->Arg(64)->Arg(256);
 
-// --- convolution: im2col/GEMM fast path vs the CIP_NAIVE_CONV reference ----
+// --- convolution: im2col/GEMM Conv2d vs the direct-loop reference ---------
 //
 // Backbone-sized shape (batch 32, 3->32 channels, 32x32, k3 s1 p1). The
 // committed BENCH_kernels.json records the GEMM/naive ratio at CIP_THREADS=1
-// and 4; scripts/bench_baseline.sh regenerates it.
+// and 4; scripts/bench_baseline.sh regenerates it. The *Naive cases run
+// tests/reference_conv.h on the layer's own weights; its forward spreads
+// samples over ParallelFor like the layer does.
 
 constexpr std::size_t kConvN = 32, kConvIC = 3, kConvOC = 32, kConvHW = 32;
+constexpr std::size_t kConvK = 3, kConvStride = 1, kConvPad = 1;
 
 nn::Conv2d MakeBenchConv() {
   Rng rng(13);
-  return nn::Conv2d(kConvIC, kConvOC, /*kernel=*/3, /*stride=*/1,
-                    /*padding=*/1, rng, "bench_conv");
+  return nn::Conv2d(kConvIC, kConvOC, kConvK, kConvStride, kConvPad, rng,
+                    "bench_conv");
 }
 
-void RunConvForward(benchmark::State& state, bool naive) {
-  internal::SetNaiveConvForTesting(naive);
-  nn::Conv2d conv = MakeBenchConv();
-  const Tensor x = RandomTensor({kConvN, kConvIC, kConvHW, kConvHW}, 14);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.Forward(x, /*train=*/false));
-  }
-  internal::SetNaiveConvForTesting(false);
+void SetConvItems(benchmark::State& state) {
   // One MAC = 2 flops; items = MACs of the convolution.
   state.SetItemsProcessed(
       static_cast<long>(state.iterations()) *
@@ -148,17 +147,29 @@ void RunConvForward(benchmark::State& state, bool naive) {
 }
 
 void BM_Conv2dForward(benchmark::State& state) {
-  RunConvForward(state, /*naive=*/false);
+  nn::Conv2d conv = MakeBenchConv();
+  const Tensor x = RandomTensor({kConvN, kConvIC, kConvHW, kConvHW}, 14);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.Forward(x, /*train=*/false));
+  }
+  SetConvItems(state);
 }
 BENCHMARK(BM_Conv2dForward);
 
 void BM_Conv2dForwardNaive(benchmark::State& state) {
-  RunConvForward(state, /*naive=*/true);
+  nn::Conv2d conv = MakeBenchConv();
+  const Tensor& w = conv.Parameters()[0]->value;
+  const Tensor& b = conv.Parameters()[1]->value;
+  const Tensor x = RandomTensor({kConvN, kConvIC, kConvHW, kConvHW}, 14);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        testing::ReferenceConvForward(x, w, b, kConvK, kConvStride, kConvPad));
+  }
+  SetConvItems(state);
 }
 BENCHMARK(BM_Conv2dForwardNaive);
 
-void RunConvBackward(benchmark::State& state, bool naive) {
-  internal::SetNaiveConvForTesting(naive);
+void BM_Conv2dBackward(benchmark::State& state) {
   nn::Conv2d conv = MakeBenchConv();
   const Tensor x = RandomTensor({kConvN, kConvIC, kConvHW, kConvHW}, 15);
   const Tensor grad = RandomTensor({kConvN, kConvOC, kConvHW, kConvHW}, 16);
@@ -167,16 +178,25 @@ void RunConvBackward(benchmark::State& state, bool naive) {
     benchmark::DoNotOptimize(conv.Backward(grad));
     conv.ZeroGrad();
   }
-  internal::SetNaiveConvForTesting(false);
-}
-
-void BM_Conv2dBackward(benchmark::State& state) {
-  RunConvBackward(state, /*naive=*/false);
 }
 BENCHMARK(BM_Conv2dBackward);
 
+// Forward + backward + gradient reset per iteration, like BM_Conv2dBackward.
 void BM_Conv2dBackwardNaive(benchmark::State& state) {
-  RunConvBackward(state, /*naive=*/true);
+  nn::Conv2d conv = MakeBenchConv();
+  const Tensor& w = conv.Parameters()[0]->value;
+  const Tensor& b = conv.Parameters()[1]->value;
+  const Tensor x = RandomTensor({kConvN, kConvIC, kConvHW, kConvHW}, 15);
+  const Tensor grad = RandomTensor({kConvN, kConvOC, kConvHW, kConvHW}, 16);
+  Tensor dw(w.shape()), db(b.shape());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        testing::ReferenceConvForward(x, w, b, kConvK, kConvStride, kConvPad));
+    benchmark::DoNotOptimize(testing::ReferenceConvBackward(
+        x, w, grad, kConvK, kConvStride, kConvPad, dw, db));
+    dw.Zero();
+    db.Zero();
+  }
 }
 BENCHMARK(BM_Conv2dBackwardNaive);
 

@@ -118,7 +118,7 @@ ObNN::ObNN(fl::QueryModel& shadow, const data::Dataset& shadow_members,
 std::vector<float> ObNN::Score(fl::QueryModel& target,
                                const data::Dataset& candidates) {
   const Tensor f = Features(target, candidates);
-  const Tensor probs = ops::SoftmaxRows(net_->Forward(f, /*train=*/false));
+  const Tensor probs = ops::SoftmaxRows(net_->EvalForward(f));
   std::vector<float> scores(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     scores[i] = probs[i * 2 + 1];

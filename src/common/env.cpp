@@ -26,13 +26,6 @@ std::size_t Scaled(std::size_t nominal, std::size_t min_value) {
 
 namespace internal {
 
-std::optional<bool> ParseBoolFlag(const char* s) {
-  if (s == nullptr) return std::nullopt;
-  if (std::strcmp(s, "1") == 0) return true;
-  if (std::strcmp(s, "0") == 0) return false;
-  return std::nullopt;
-}
-
 std::optional<IsaRequest> ParseIsaRequest(const char* s) {
   if (s == nullptr) return std::nullopt;
   if (std::strcmp(s, "auto") == 0) return IsaRequest::kAuto;
@@ -44,38 +37,16 @@ std::optional<IsaRequest> ParseIsaRequest(const char* s) {
 
 namespace {
 
-// -1: not yet read from the environment; 0/1: resolved.
-std::atomic<int> g_naive_conv{-1};
-std::atomic<int> g_spawn_per_call{-1};
 // -1: not yet read from the environment; otherwise an IsaRequest value.
 std::atomic<int> g_isa_request{-1};
 
 }  // namespace
-
-void SetNaiveConvForTesting(bool enabled) {
-  g_naive_conv.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-void SetSpawnPerCallForTesting(bool enabled) {
-  g_spawn_per_call.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 void SetIsaRequestForTesting(IsaRequest request) {
   g_isa_request.store(static_cast<int>(request), std::memory_order_relaxed);
 }
 
 }  // namespace internal
-
-bool NaiveConvEnabled() {
-  int v = internal::g_naive_conv.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = internal::ParseBoolFlag(std::getenv("CIP_NAIVE_CONV")).value_or(false)
-            ? 1
-            : 0;
-    internal::g_naive_conv.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
 
 IsaRequest IsaRequested() {
   int v = internal::g_isa_request.load(std::memory_order_relaxed);
@@ -85,18 +56,6 @@ IsaRequest IsaRequested() {
     internal::g_isa_request.store(v, std::memory_order_relaxed);
   }
   return static_cast<IsaRequest>(v);
-}
-
-bool SpawnPerCallEnabled() {
-  int v = internal::g_spawn_per_call.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = internal::ParseBoolFlag(std::getenv("CIP_SPAWN_THREADS"))
-                .value_or(false)
-            ? 1
-            : 0;
-    internal::g_spawn_per_call.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
 }
 
 }  // namespace cip

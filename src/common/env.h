@@ -1,4 +1,4 @@
-// Environment-variable knobs: bench scaling and kernel-path selection.
+// Environment-variable knobs: bench scaling and GEMM kernel selection.
 // README "Configuration" documents every variable in one place.
 #pragma once
 
@@ -13,22 +13,6 @@ double BenchScale();
 
 /// Scale a nominal count, keeping at least `min_value`.
 std::size_t Scaled(std::size_t nominal, std::size_t min_value = 1);
-
-/// CIP_NAIVE_CONV (default 0): when 1, Conv2d uses the reference direct
-/// convolution loops instead of the im2col + GEMM fast path. Strict parsing:
-/// only the exact strings "0" and "1" are honored; anything else is ignored
-/// (fast path). Read once at first use; parity tests flip the path at
-/// runtime via internal::SetNaiveConvForTesting.
-bool NaiveConvEnabled();
-
-/// CIP_SPAWN_THREADS (default 0): when 1, ParallelFor/ParallelForCoarse use
-/// the legacy spawn-one-thread-per-chunk-per-call dispatch instead of the
-/// persistent worker pool. Strict parsing: only the exact strings "0" and
-/// "1" are honored; anything else is ignored (pool). Read once at first use;
-/// the dispatch-overhead benchmarks flip the path at runtime via
-/// internal::SetSpawnPerCallForTesting. Results are bit-identical across the
-/// two paths — only dispatch latency differs.
-bool SpawnPerCallEnabled();
 
 /// What CIP_ISA asked for. `kAuto` means "bind the best kernel the host
 /// supports"; the explicit levels force that kernel (clamped down to what the
@@ -50,19 +34,6 @@ enum class IsaRequest {
 IsaRequest IsaRequested();
 
 namespace internal {
-
-/// Strict parse of a 0/1 flag value. Returns nullopt unless `s` is exactly
-/// "0" or "1".
-std::optional<bool> ParseBoolFlag(const char* s);
-
-/// Override NaiveConvEnabled() for the rest of the process, bypassing the
-/// environment. For parity tests and the naive-vs-GEMM benches only.
-void SetNaiveConvForTesting(bool enabled);
-
-/// Override SpawnPerCallEnabled() for the rest of the process, bypassing the
-/// environment. For the pool-vs-spawn dispatch benchmarks and stress tests
-/// only.
-void SetSpawnPerCallForTesting(bool enabled);
 
 /// Strict parse of a CIP_ISA value. Returns nullopt unless `s` is exactly
 /// one of "auto", "portable", "avx2", "avx512".

@@ -11,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/env.h"
-
 namespace cip {
 
 namespace internal {
@@ -56,6 +54,10 @@ thread_local int t_parallel_depth = 0;
 // the dead pool). Trivially destructible, so reading it at any point of
 // shutdown is safe.
 std::atomic<bool> g_pool_destroyed{false};
+
+// Set by internal::SetSpawnPerCallForTesting: every parallel region then
+// takes the spawn dispatch below at its full budget instead of the pool.
+std::atomic<bool> g_spawn_per_call{false};
 
 // One dispatched parallel region. Lives on the caller's stack for the
 // duration of the call; workers only touch it between the generation
@@ -210,25 +212,31 @@ class WorkerPool {
   bool stop_ = false;
 };
 
-// Legacy dispatch: spawn one jthread per chunk, join on scope exit. Kept
-// runtime-selectable (CIP_SPAWN_THREADS=1) as the reference point for the
-// dispatch-overhead benchmarks; semantics match the pool path exactly.
-void RunSpawnPerCall(Job& job, std::size_t threads) {
+// Spawn dispatch: re-chunk `job` into `runners` chunks, spawn runners - 1
+// jthreads and run chunks on the caller too, joining before return. Used by
+// the busy-pool fallback (with the budget the region's volume amortizes) and,
+// at the full budget, by internal::SetSpawnPerCallForTesting. Chunking never
+// affects results, so this is bit-identical to a pool dispatch.
+void RunOnSpawnedThreads(Job& job, std::size_t runners) {
+  const std::size_t n = job.end - job.begin;
+  job.chunk = (n + runners - 1) / runners;
+  job.num_chunks = (n + job.chunk - 1) / job.chunk;
   {
-    std::vector<std::jthread> workers;
-    // CIP_ANALYZE_OK(hot-alloc-container): spawn-per-call fallback/reference path, explicitly not the steady-state pool
-    workers.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w) {
-      const std::size_t lo = job.begin + w * job.chunk;
-      if (lo >= job.end) break;
-      // CIP_ANALYZE_OK(hot-alloc-container): spawn-per-call fallback: jthreads are constructed fresh by design here
-      workers.emplace_back([&job] {
+    std::vector<std::jthread> helpers;
+    // CIP_ANALYZE_OK(hot-alloc-container): spawn fallback path, explicitly not the steady-state pool
+    helpers.reserve(job.num_chunks - 1);
+    for (std::size_t w = 1; w < job.num_chunks; ++w) {
+      // CIP_ANALYZE_OK(hot-alloc-container): spawn fallback: helper jthreads are constructed fresh by design
+      helpers.emplace_back([&job] {
         ++t_parallel_depth;
         job.RunChunks();
         --t_parallel_depth;
       });
     }
-  }  // jthreads join here; job state is stable afterwards.
+    ++t_parallel_depth;
+    job.RunChunks();
+    --t_parallel_depth;
+  }  // helpers join here; job state is stable afterwards.
 }
 
 // When the pool is busy, each extra spawned runner must be amortized by this
@@ -264,8 +272,8 @@ void RunChunked(std::size_t begin, std::size_t end,
   // partition itself) never affects results — the FL bit-identity suites
   // pin that across worker budgets — so every fallback path below produces
   // bit-identical results.
-  if (SpawnPerCallEnabled()) {
-    RunSpawnPerCall(job, threads);
+  if (g_spawn_per_call.load(std::memory_order_relaxed)) {
+    RunOnSpawnedThreads(job, threads);
   } else if (!WorkerPool::Instance().TryRun(job, threads - 1)) {
     // Busy-pool fallback. Spawning a jthread costs tens of microseconds of
     // thread start-up — worth it for a large region, pure thrash for the
@@ -279,26 +287,8 @@ void RunChunked(std::size_t begin, std::size_t end,
     // fallback costs a single spawn, and runners == chunks keeps the
     // progress guarantee: every chunk has a dedicated runner even if every
     // other body blocks.
-    const std::size_t budget = std::clamp<std::size_t>(
-        1 + n / (min_parallel * kBusySpawnAmortizeFactor), 2, threads);
-    job.chunk = (n + budget - 1) / budget;
-    job.num_chunks = (n + job.chunk - 1) / job.chunk;
-    {
-      std::vector<std::jthread> helpers;
-      // CIP_ANALYZE_OK(hot-alloc-container): busy-pool fallback path, explicitly not the steady-state pool
-      helpers.reserve(job.num_chunks - 1);
-      for (std::size_t w = 1; w < job.num_chunks; ++w) {
-        // CIP_ANALYZE_OK(hot-alloc-container): busy-pool fallback: helper jthreads are constructed fresh by design
-        helpers.emplace_back([&job] {
-          ++t_parallel_depth;
-          job.RunChunks();
-          --t_parallel_depth;
-        });
-      }
-      ++t_parallel_depth;
-      job.RunChunks();
-      --t_parallel_depth;
-    }  // helpers join here; job state is stable afterwards.
+    RunOnSpawnedThreads(job, std::clamp<std::size_t>(
+        1 + n / (min_parallel * kBusySpawnAmortizeFactor), 2, threads));
   }
   if (job.first_error != nullptr) std::rethrow_exception(job.first_error);
 }
@@ -306,6 +296,10 @@ void RunChunked(std::size_t begin, std::size_t end,
 }  // namespace
 
 namespace internal {
+
+void SetSpawnPerCallForTesting(bool enabled) {
+  g_spawn_per_call.store(enabled, std::memory_order_relaxed);
+}
 
 bool InParallelRegion() { return t_parallel_depth > 0; }
 

@@ -18,7 +18,8 @@ Tensor DualLogits(nn::DualChannelClassifier& model, const Tensor& inputs,
   for (std::size_t start = 0; start < n; start += batch_size) {
     const std::size_t end = std::min(start + batch_size, n);
     const Blended b = Blend(inputs.Slice(start, end), t, cfg);
-    const Tensor logits = model.Forward(b.c1, b.c2, /*train=*/false);
+    // Valid until the next forward through `model`: copied out right away.
+    const Tensor& logits = model.EvalForward(b.c1, b.c2);
     std::copy(logits.data(), logits.data() + logits.size(),
               out.data() + start * model.num_classes());
   }

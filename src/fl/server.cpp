@@ -23,6 +23,12 @@ double SecondsSince(Clock::time_point t0) {
 
 }  // namespace
 
+float LrScaleForRound(float decay, std::size_t every, std::size_t round) {
+  if (every == 0) return 1.0f;
+  const auto steps = static_cast<float>((round - 1) / every);
+  return std::pow(decay, steps);
+}
+
 void FlOptions::Validate(std::size_t num_clients) const {
   CIP_CHECK_MSG(rounds > 0, "FlOptions.rounds must be >= 1");
   CIP_CHECK_MSG(participation > 0.0f && participation <= 1.0f,
@@ -164,12 +170,8 @@ FlLog FederatedAveraging::RunRounds(ClientStore& store, std::uint64_t run_seed,
     // each context is derived from (run_seed, round, client id), so the
     // result is independent of how — or on which dispatch backend — workers
     // are scheduled.
-    float lr_scale = 1.0f;
-    if (options_.lr_decay_every != 0) {
-      const auto steps =
-          static_cast<float>((round - 1) / options_.lr_decay_every);
-      lr_scale = std::pow(options_.lr_decay, steps);
-    }
+    const float lr_scale =
+        LrScaleForRound(options_.lr_decay, options_.lr_decay_every, round);
     std::vector<ModelState> updates(m);
     std::vector<float> losses(m, 0.0f);
     // CIP_ANALYZE_OK(det-wallclock): telemetry: per-round train duration recorded in RoundStats

@@ -19,7 +19,7 @@
 // (fl/aggregate.h). Because every context's RNG stream is a pure function
 // of (run seed, round, client id) and every fold order is fixed, results
 // are bit-identical for any CIP_THREADS value, either dispatch backend
-// (pool or CIP_SPAWN_THREADS=1 spawn-per-call), any hot-set byte budget,
+// (pool or spawned threads, common/parallel.h), any hot-set byte budget,
 // and spilled-vs-resident client records. Server memory is O(hot budget +
 // sampled cohort), never O(registered fleet).
 //
@@ -60,6 +60,12 @@ enum class QuorumPolicy {
   /// Treat quorum loss as fatal: CHECK-fail (throws cip::CheckError).
   kAbort,
 };
+
+/// Server-side learning-rate scale for 1-based `round`: one `decay` factor
+/// per completed block of `every` rounds (every == 0: constant 1). Both
+/// round engines (FederatedAveraging and net::AsyncRoundEngine) broadcast
+/// this; matching it is part of the wire/in-process bit-identity contract.
+float LrScaleForRound(float decay, std::size_t every, std::size_t round);
 
 struct FlOptions {
   std::size_t rounds = 10;

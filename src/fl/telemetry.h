@@ -36,10 +36,16 @@ struct ClientRoundStats {
   bool retried = false;
 };
 
-/// Coordinator-side timings for one round.
+/// Coordinator-side timings for one round. The three timed spans are
+/// disjoint and do not cover the whole round: evicting the trained cohort
+/// back into the ClientStore (between the client phase and the reduction)
+/// falls in no field.
 struct RoundStats {
   std::size_t round = 0;            ///< 1-based round index
-  double broadcast_seconds = 0.0;   ///< tamper hook + participant sampling
+  /// Everything before the client phase: the tamper hook, participant
+  /// sampling, merging due retries, fault decisions, and ClientStore
+  /// Materialize of the cohort (including cold loads from shard files).
+  double broadcast_seconds = 0.0;
   double train_wall_seconds = 0.0;  ///< wall-clock of the (parallel) client phase
   double aggregate_seconds = 0.0;   ///< fixed-order FedAvg reduction
   /// Updates aggregated this round (participants minus dropped clients).

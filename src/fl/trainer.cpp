@@ -45,8 +45,9 @@ Tensor LogitsFor(nn::Classifier& model, const Tensor& inputs,
   Tensor out({n, model.num_classes()});
   for (std::size_t start = 0; start < n; start += batch_size) {
     const std::size_t end = std::min(start + batch_size, n);
-    const Tensor logits =
-        model.Forward(inputs.Slice(start, end), /*train=*/false);
+    const Tensor batch = inputs.Slice(start, end);
+    // Valid until the next forward through `model`: copied out right away.
+    const Tensor& logits = model.EvalForward(batch);
     std::copy(logits.data(), logits.data() + logits.size(),
               out.data() + start * model.num_classes());
   }

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/env.h"
 #include "common/parallel.h"
 #include "nn/init.h"
 
@@ -84,46 +83,6 @@ void Conv2d::ForwardGemmInto(const Tensor& x, std::size_t n, std::size_t oh,
   });
 }
 
-Tensor Conv2d::ForwardNaive(const Tensor& x, std::size_t n, std::size_t oh,
-                            std::size_t ow) const {
-  const std::size_t h = x.dim(2), w = x.dim(3);
-  // CIP_ANALYZE_OK(hot-alloc-tensor): CIP_NAIVE_CONV reference path — correctness over speed, allocates by design; the default eval path is ForwardGemmInto into reusable scratch
-  Tensor y({n, oc_, oh, ow});
-  const float* pw = w_.value.data();
-  const float* pb = b_.value.data();
-  const float* px_all = x.data();
-  float* py_all = y.data();
-  ParallelFor(0, n, [&](std::size_t i) {
-    const float* px = px_all + i * ic_ * h * w;
-    float* py = py_all + i * oc_ * oh * ow;
-    for (std::size_t co = 0; co < oc_; ++co) {
-      const float* wrow = pw + co * ic_ * k_ * k_;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          float acc = pb[co];
-          for (std::size_t c = 0; c < ic_; ++c) {
-            for (std::size_t ky = 0; ky < k_; ++ky) {
-              const long iy = static_cast<long>(oy * stride_ + ky) -
-                              static_cast<long>(pad_);
-              if (iy < 0 || iy >= static_cast<long>(h)) continue;
-              for (std::size_t kx = 0; kx < k_; ++kx) {
-                const long ix = static_cast<long>(ox * stride_ + kx) -
-                                static_cast<long>(pad_);
-                if (ix < 0 || ix >= static_cast<long>(w)) continue;
-                acc += px[c * h * w + static_cast<std::size_t>(iy) * w +
-                          static_cast<std::size_t>(ix)] *
-                       wrow[c * k_ * k_ + ky * k_ + kx];
-              }
-            }
-          }
-          py[co * oh * ow + oy * ow + ox] = acc;
-        }
-      }
-    }
-  });
-  return y;
-}
-
 Tensor Conv2d::Forward(const Tensor& x, bool train) {
   CIP_CHECK_EQ(x.rank(), 4u);
   CIP_CHECK_EQ(x.dim(1), ic_);
@@ -131,8 +90,7 @@ Tensor Conv2d::Forward(const Tensor& x, bool train) {
   const std::size_t oh = OutExtent(h), ow = OutExtent(w);
   CIP_DCHECK_GT(oh, 0u);
   CIP_DCHECK_GT(ow, 0u);
-  Tensor y = NaiveConvEnabled() ? ForwardNaive(x, n, oh, ow)
-                                : ForwardGemm(x, n, oh, ow);
+  Tensor y = ForwardGemm(x, n, oh, ow);
   if (train) cached_inputs_.push(x);
   return y;
 }
@@ -145,12 +103,7 @@ const Tensor& Conv2d::EvalForward(const Tensor& x) {
   const std::size_t oh = OutExtent(h), ow = OutExtent(w);
   CIP_DCHECK_GT(oh, 0u);
   CIP_DCHECK_GT(ow, 0u);
-  if (NaiveConvEnabled()) {
-    // Reference path: correctness over speed, allocates like Forward.
-    eval_out_ = ForwardNaive(x, n, oh, ow);
-  } else {
-    ForwardGemmInto(x, n, oh, ow, eval_out_);
-  }
+  ForwardGemmInto(x, n, oh, ow, eval_out_);
   return eval_out_;
 }
 
@@ -213,52 +166,6 @@ Tensor Conv2d::BackwardGemm(const Tensor& x, const Tensor& grad_out) {
   return dx;
 }
 
-Tensor Conv2d::BackwardNaive(const Tensor& x, const Tensor& grad_out) {
-  const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::size_t oh = OutExtent(h), ow = OutExtent(w);
-  Tensor dx({n, ic_, h, w});
-  // Serial on purpose: dw/db accumulate across every sample and output
-  // position, and the reference path favors determinism over speed.
-  const float* pw = w_.value.data();
-  float* pdw = w_.grad.data();
-  float* pdb = b_.grad.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* px = x.data() + i * ic_ * h * w;
-    const float* pg = grad_out.data() + i * oc_ * oh * ow;
-    float* pdx = dx.data() + i * ic_ * h * w;
-    for (std::size_t co = 0; co < oc_; ++co) {
-      const float* wrow = pw + co * ic_ * k_ * k_;
-      float* dwrow = pdw + co * ic_ * k_ * k_;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          const float g = pg[co * oh * ow + oy * ow + ox];
-          pdb[co] += g;
-          if (g == 0.0f) continue;
-          for (std::size_t c = 0; c < ic_; ++c) {
-            for (std::size_t ky = 0; ky < k_; ++ky) {
-              const long iy = static_cast<long>(oy * stride_ + ky) -
-                              static_cast<long>(pad_);
-              if (iy < 0 || iy >= static_cast<long>(h)) continue;
-              for (std::size_t kx = 0; kx < k_; ++kx) {
-                const long ix = static_cast<long>(ox * stride_ + kx) -
-                                static_cast<long>(pad_);
-                if (ix < 0 || ix >= static_cast<long>(w)) continue;
-                const std::size_t xi = c * h * w +
-                                       static_cast<std::size_t>(iy) * w +
-                                       static_cast<std::size_t>(ix);
-                const std::size_t wi = c * k_ * k_ + ky * k_ + kx;
-                dwrow[wi] += g * px[xi];
-                pdx[xi] += g * wrow[wi];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return dx;
-}
-
 Tensor Conv2d::Backward(const Tensor& grad_out) {
   CIP_CHECK_MSG(!cached_inputs_.empty(), name_ << ": backward without forward");
   const Tensor x = std::move(cached_inputs_.top());
@@ -268,8 +175,7 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   CIP_CHECK_EQ(grad_out.dim(1), oc_);
   CIP_CHECK_EQ(grad_out.dim(2), OutExtent(h));
   CIP_CHECK_EQ(grad_out.dim(3), OutExtent(w));
-  return NaiveConvEnabled() ? BackwardNaive(x, grad_out)
-                            : BackwardGemm(x, grad_out);
+  return BackwardGemm(x, grad_out);
 }
 
 void Conv2d::CollectParameters(std::vector<Parameter*>& out) {

@@ -1,18 +1,14 @@
 // 2-D convolution over NCHW ([N, C, H, W]) tensors with stride and symmetric
 // zero padding.
 //
-// Two implementations share one layer:
-//  * GEMM path (default, fast): the whole batch is lowered with
-//    ops::Im2ColInto into a per-layer scratch matrix, the convolution runs as
-//    one cache-blocked GEMM (ops::MatmulTransBInto against the [OC, C·K·K]
-//    weight), and the backward pass reuses the same lowering for dW
-//    (MatmulTransA), dX (Matmul + Col2Im) and db. Scratch buffers are layer
-//    members reused across steps — steady-state training does no per-call
-//    allocation beyond the returned output tensor.
-//  * Naive path (reference): direct six-nested-loop convolution, selected by
-//    the CIP_NAIVE_CONV=1 environment variable (see src/common/env.h) or
-//    internal::SetNaiveConvForTesting. tests/test_conv_parity.cpp holds the
-//    two paths to agreement within 1e-5.
+// The whole batch is lowered with ops::Im2ColInto into a per-layer scratch
+// matrix, the convolution runs as one cache-blocked GEMM
+// (ops::MatmulTransBInto against the [OC, C·K·K] weight), and the backward
+// pass reuses the same lowering for dW (MatmulTransA), dX (Matmul + Col2Im)
+// and db. Scratch buffers are layer members reused across steps —
+// steady-state training does no per-call allocation beyond the returned
+// output tensor. tests/test_conv_parity.cpp holds forward and backward to a
+// direct-loop reference (tests/reference_conv.h) within 1e-5.
 //
 // Threading: Forward/Backward parallelize internally with ParallelFor
 // (samples for the lowering/scatter, row blocks inside the GEMM). A Conv2d
@@ -69,10 +65,7 @@ class Conv2d : public Module {
                      std::size_t ow);
   void ForwardGemmInto(const Tensor& x, std::size_t n, std::size_t oh,
                        std::size_t ow, Tensor& y);
-  Tensor ForwardNaive(const Tensor& x, std::size_t n, std::size_t oh,
-                      std::size_t ow) const;
   Tensor BackwardGemm(const Tensor& x, const Tensor& grad_out);
-  Tensor BackwardNaive(const Tensor& x, const Tensor& grad_out);
 
   std::size_t ic_, oc_, k_, stride_, pad_;
   std::string name_;
@@ -80,7 +73,7 @@ class Conv2d : public Module {
   Parameter b_;  // [OC]
   std::stack<Tensor> cached_inputs_;
 
-  // GEMM-path scratch, reused across steps (reallocated only on shape
+  // Scratch, reused across steps (reallocated only on shape
   // change). col_: [N·OH·OW, IC·K·K] batched im2col; gemm_y_: [N·OH·OW, OC]
   // forward product; gy_: [N·OH·OW, OC] grad_out in row-major GEMM layout;
   // dcol_: [N·OH·OW, IC·K·K] column-space input gradient; dw_: [OC, IC·K·K]

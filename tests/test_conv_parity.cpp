@@ -1,9 +1,9 @@
-// Parity oracle for the convolution rewrite: the im2col/GEMM fast path and
-// the CIP_NAIVE_CONV reference path must agree (forward, dX, dW, db) within
-// 1e-5 across stride/padding/kernel edge cases, and every Matmul variant must
-// match a double-precision triple-loop reference. Runs under the asan/ubsan/
-// tsan presets like every other test, so the blocked kernels are also checked
-// for memory and threading bugs.
+// Parity oracle for the convolution: nn::Conv2d's im2col/GEMM implementation
+// must agree with the direct-loop reference in tests/reference_conv.h
+// (forward, dX, dW, db) within 1e-5 across stride/padding/kernel edge cases,
+// and every Matmul variant must match a double-precision triple-loop
+// reference. Runs under the asan/ubsan/tsan presets like every other test,
+// so the blocked kernels are also checked for memory and threading bugs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,11 +13,15 @@
 #include "common/env.h"
 #include "common/rng.h"
 #include "nn/conv2d.h"
+#include "reference_conv.h"
 #include "tensor/gemm_kernels.h"
 #include "tensor/ops.h"
 
 namespace cip {
 namespace {
+
+using testing::ReferenceConvBackward;
+using testing::ReferenceConvForward;
 
 Tensor RandomTensor(const Shape& shape, std::uint64_t seed) {
   Rng rng(seed);
@@ -25,16 +29,6 @@ Tensor RandomTensor(const Shape& shape, std::uint64_t seed) {
   for (float& v : t.flat()) v = rng.Normal();
   return t;
 }
-
-/// Flips the conv implementation and always restores the GEMM default, even
-/// if an assertion fails mid-test.
-class NaiveConvGuard {
- public:
-  explicit NaiveConvGuard(bool naive) {
-    internal::SetNaiveConvForTesting(naive);
-  }
-  ~NaiveConvGuard() { internal::SetNaiveConvForTesting(false); }
-};
 
 void ExpectTensorsNear(const Tensor& a, const Tensor& b, double tol,
                        const char* what) {
@@ -74,39 +68,37 @@ const ConvCase kConvCases[] = {
     {4, 3, 32, 3, 1, 1, 12, 12},  // backbone-sized
 };
 
+/// One Forward/Backward through the layer against the reference oracle on
+/// the layer's own weights.
+void ExpectConvMatchesReference(const ConvCase& c, double tol) {
+  SCOPED_TRACE(::testing::Message()
+               << "n=" << c.n << " ic=" << c.ic << " oc=" << c.oc
+               << " k=" << c.k << " s=" << c.stride << " p=" << c.pad
+               << " h=" << c.h << " w=" << c.w);
+  Rng rng(42);
+  nn::Conv2d conv(c.ic, c.oc, c.k, c.stride, c.pad, rng, "conv");
+  const Tensor& w = conv.Parameters()[0]->value;
+  const Tensor& b = conv.Parameters()[1]->value;
+  const Tensor x = RandomTensor({c.n, c.ic, c.h, c.w}, 7);
+  const std::size_t oh = conv.OutExtent(c.h), ow = conv.OutExtent(c.w);
+  const Tensor grad_out = RandomTensor({c.n, c.oc, oh, ow}, 8);
+
+  const Tensor y = conv.Forward(x, /*train=*/true);
+  const Tensor dx = conv.Backward(grad_out);
+
+  const Tensor y_ref = ReferenceConvForward(x, w, b, c.k, c.stride, c.pad);
+  Tensor dw_ref(w.shape()), db_ref(b.shape());
+  const Tensor dx_ref = ReferenceConvBackward(x, w, grad_out, c.k, c.stride,
+                                              c.pad, dw_ref, db_ref);
+
+  ExpectTensorsNear(y, y_ref, tol, "forward");
+  ExpectTensorsNear(dx, dx_ref, tol, "dX");
+  ExpectTensorsNear(conv.Parameters()[0]->grad, dw_ref, tol, "dW");
+  ExpectTensorsNear(conv.Parameters()[1]->grad, db_ref, tol, "db");
+}
+
 TEST(ConvParity, ForwardBackwardAgreeAcrossShapes) {
-  for (const ConvCase& c : kConvCases) {
-    SCOPED_TRACE(::testing::Message()
-                 << "n=" << c.n << " ic=" << c.ic << " oc=" << c.oc
-                 << " k=" << c.k << " s=" << c.stride << " p=" << c.pad
-                 << " h=" << c.h << " w=" << c.w);
-    // Same seed -> bit-identical weights in both layers.
-    Rng rng_a(42), rng_b(42);
-    nn::Conv2d fast(c.ic, c.oc, c.k, c.stride, c.pad, rng_a, "fast");
-    nn::Conv2d naive(c.ic, c.oc, c.k, c.stride, c.pad, rng_b, "naive");
-    const Tensor x = RandomTensor({c.n, c.ic, c.h, c.w}, 7);
-    const std::size_t oh = fast.OutExtent(c.h), ow = fast.OutExtent(c.w);
-    const Tensor grad_out = RandomTensor({c.n, c.oc, oh, ow}, 8);
-
-    Tensor y_fast, dx_fast, y_naive, dx_naive;
-    {
-      NaiveConvGuard guard(false);
-      y_fast = fast.Forward(x, /*train=*/true);
-      dx_fast = fast.Backward(grad_out);
-    }
-    {
-      NaiveConvGuard guard(true);
-      y_naive = naive.Forward(x, /*train=*/true);
-      dx_naive = naive.Backward(grad_out);
-    }
-
-    ExpectTensorsNear(y_fast, y_naive, 1e-5, "forward");
-    ExpectTensorsNear(dx_fast, dx_naive, 1e-5, "dX");
-    ExpectTensorsNear(fast.Parameters()[0]->grad, naive.Parameters()[0]->grad,
-                      1e-5, "dW");
-    ExpectTensorsNear(fast.Parameters()[1]->grad, naive.Parameters()[1]->grad,
-                      1e-5, "db");
-  }
+  for (const ConvCase& c : kConvCases) ExpectConvMatchesReference(c, 1e-5);
 }
 
 // The dual-channel model runs forward(ch1), forward(ch2), backward(ch2),
@@ -114,33 +106,28 @@ TEST(ConvParity, ForwardBackwardAgreeAcrossShapes) {
 // lowering scratch in Backward, so the second (stale-scratch) backward must
 // still match the reference.
 TEST(ConvParity, DoubleForwardLifoBackwardMatchesNaive) {
-  Rng rng_a(11), rng_b(11);
-  nn::Conv2d fast(3, 4, 3, 1, 1, rng_a, "fast");
-  nn::Conv2d naive(3, 4, 3, 1, 1, rng_b, "naive");
+  Rng rng(11);
+  nn::Conv2d conv(3, 4, 3, 1, 1, rng, "conv");
+  const Tensor& w = conv.Parameters()[0]->value;
   const Tensor x1 = RandomTensor({2, 3, 6, 6}, 1);
   const Tensor x2 = RandomTensor({2, 3, 6, 6}, 2);
   const Tensor g1 = RandomTensor({2, 4, 6, 6}, 3);
   const Tensor g2 = RandomTensor({2, 4, 6, 6}, 4);
 
-  Tensor dx2_fast, dx1_fast, dx2_naive, dx1_naive;
-  {
-    NaiveConvGuard guard(false);
-    fast.Forward(x1, true);
-    fast.Forward(x2, true);
-    dx2_fast = fast.Backward(g2);
-    dx1_fast = fast.Backward(g1);
-  }
-  {
-    NaiveConvGuard guard(true);
-    naive.Forward(x1, true);
-    naive.Forward(x2, true);
-    dx2_naive = naive.Backward(g2);
-    dx1_naive = naive.Backward(g1);
-  }
-  ExpectTensorsNear(dx2_fast, dx2_naive, 1e-5, "dX ch2");
-  ExpectTensorsNear(dx1_fast, dx1_naive, 1e-5, "dX ch1");
-  ExpectTensorsNear(fast.Parameters()[0]->grad, naive.Parameters()[0]->grad,
-                    1e-5, "dW both channels");
+  conv.Forward(x1, true);
+  conv.Forward(x2, true);
+  const Tensor dx2 = conv.Backward(g2);
+  const Tensor dx1 = conv.Backward(g1);
+
+  Tensor dw_ref(w.shape()), db_ref({4});
+  const Tensor dx2_ref = ReferenceConvBackward(x2, w, g2, 3, 1, 1, dw_ref,
+                                               db_ref);
+  const Tensor dx1_ref = ReferenceConvBackward(x1, w, g1, 3, 1, 1, dw_ref,
+                                               db_ref);
+  ExpectTensorsNear(dx2, dx2_ref, 1e-5, "dX ch2");
+  ExpectTensorsNear(dx1, dx1_ref, 1e-5, "dX ch1");
+  ExpectTensorsNear(conv.Parameters()[0]->grad, dw_ref, 1e-5,
+                    "dW both channels");
 }
 
 // <Im2Col(x), c> == <x, Col2Im(c)>: the lowering and its scatter-add are
@@ -239,7 +226,7 @@ TEST(MatmulOracle, ShapeMismatchThrows) {
 
 /// Forces one CIP_ISA request and rebinds the registry; restores auto on
 /// scope exit (see tests/test_cpu_features.cpp for the dispatcher's own
-/// tests — this file only pins naive-vs-kernel parity per ISA).
+/// tests — this file only pins reference-vs-kernel parity per ISA).
 class IsaGuard {
  public:
   explicit IsaGuard(IsaRequest request) {
@@ -266,7 +253,7 @@ std::vector<IsaRequest> UsableRequests() {
   return reqs;
 }
 
-/// Pinned naive-vs-kernel tolerance per ISA. One bound for all current
+/// Pinned reference-vs-kernel tolerance per ISA. One bound for all current
 /// kernels (FMA contraction only tightens rounding), pinned per ISA so a
 /// future kernel cannot silently widen the shared bound.
 double PinnedConvTolerance(IsaLevel isa) {
@@ -283,7 +270,7 @@ double PinnedConvTolerance(IsaLevel isa) {
 
 TEST(ConvParity, ForwardBackwardAgreeAcrossIsas) {
   // Backbone-sized case (the GEMM is big enough to take the blocked kernel)
-  // plus a tail-heavy case, naive-vs-kernel per usable ISA.
+  // plus a tail-heavy case, reference-vs-kernel per usable ISA.
   const ConvCase kIsaCases[] = {
       {4, 3, 32, 3, 1, 1, 12, 12},
       {2, 3, 2, 3, 2, 0, 9, 7},
@@ -293,48 +280,8 @@ TEST(ConvParity, ForwardBackwardAgreeAcrossIsas) {
     const double tol = PinnedConvTolerance(ops::ActiveGemmIsa());
     SCOPED_TRACE(::testing::Message()
                  << "isa=" << IsaName(ops::ActiveGemmIsa()));
-    for (const ConvCase& c : kIsaCases) {
-      SCOPED_TRACE(::testing::Message()
-                   << "n=" << c.n << " ic=" << c.ic << " oc=" << c.oc
-                   << " k=" << c.k << " s=" << c.stride << " p=" << c.pad
-                   << " h=" << c.h << " w=" << c.w);
-      Rng rng_a(42), rng_b(42);
-      nn::Conv2d fast(c.ic, c.oc, c.k, c.stride, c.pad, rng_a, "fast");
-      nn::Conv2d naive(c.ic, c.oc, c.k, c.stride, c.pad, rng_b, "naive");
-      const Tensor x = RandomTensor({c.n, c.ic, c.h, c.w}, 7);
-      const std::size_t oh = fast.OutExtent(c.h), ow = fast.OutExtent(c.w);
-      const Tensor grad_out = RandomTensor({c.n, c.oc, oh, ow}, 8);
-
-      Tensor y_fast, dx_fast, y_naive, dx_naive;
-      {
-        NaiveConvGuard guard(false);
-        y_fast = fast.Forward(x, /*train=*/true);
-        dx_fast = fast.Backward(grad_out);
-      }
-      {
-        NaiveConvGuard guard(true);
-        y_naive = naive.Forward(x, /*train=*/true);
-        dx_naive = naive.Backward(grad_out);
-      }
-      ExpectTensorsNear(y_fast, y_naive, tol, "forward");
-      ExpectTensorsNear(dx_fast, dx_naive, tol, "dX");
-      ExpectTensorsNear(fast.Parameters()[0]->grad,
-                        naive.Parameters()[0]->grad, tol, "dW");
-      ExpectTensorsNear(fast.Parameters()[1]->grad,
-                        naive.Parameters()[1]->grad, tol, "db");
-    }
+    for (const ConvCase& c : kIsaCases) ExpectConvMatchesReference(c, tol);
   }
-}
-
-TEST(NaiveConvEnv, StrictBoolParsing) {
-  EXPECT_EQ(internal::ParseBoolFlag(nullptr), std::nullopt);
-  EXPECT_EQ(internal::ParseBoolFlag(""), std::nullopt);
-  EXPECT_EQ(internal::ParseBoolFlag("1"), true);
-  EXPECT_EQ(internal::ParseBoolFlag("0"), false);
-  EXPECT_EQ(internal::ParseBoolFlag("true"), std::nullopt);
-  EXPECT_EQ(internal::ParseBoolFlag("01"), std::nullopt);
-  EXPECT_EQ(internal::ParseBoolFlag(" 1"), std::nullopt);
-  EXPECT_EQ(internal::ParseBoolFlag("2"), std::nullopt);
 }
 
 }  // namespace

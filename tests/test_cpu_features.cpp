@@ -128,7 +128,7 @@ TEST(CpuFeatures, IsaNamesAreStable) {
 
 TEST(CpuFeatures, StrictIsaParsing) {
   // Exact strings parse; everything else is rejected (and IsaRequested then
-  // falls back to auto), mirroring the CIP_THREADS / CIP_NAIVE_CONV parsers.
+  // falls back to auto), mirroring the CIP_THREADS parser.
   EXPECT_EQ(internal::ParseIsaRequest("auto"), IsaRequest::kAuto);
   EXPECT_EQ(internal::ParseIsaRequest("portable"), IsaRequest::kPortable);
   EXPECT_EQ(internal::ParseIsaRequest("avx2"), IsaRequest::kAvx2);
@@ -231,7 +231,7 @@ TEST(GemmIsa, ForcedPortableMatchesAutoWithinPinnedTolerance) {
 
 TEST(GemmIsa, BitIdenticalAcrossDispatchBackendsWithinIsa) {
   // Within one bound ISA the row-block partition is fixed, so pool and
-  // legacy spawn dispatch must produce byte-equal output (the per-ISA
+  // spawn dispatch must produce byte-equal output (the per-ISA
   // extension of ParallelStress.GemmBitIdenticalAcrossDispatchModes).
   const Tensor a = RandomTensor({128, 128}, 5);
   const Tensor b = RandomTensor({128, 128}, 6);

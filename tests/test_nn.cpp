@@ -3,6 +3,8 @@
 // scalar loss, for both parameters and inputs.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.h"
 #include "nn/activations.h"
 #include "nn/backbones.h"
@@ -313,6 +315,93 @@ TEST(Module, ParameterCountMatchesManualCount) {
   EXPECT_EQ(layer.ParameterCount(), 5u * 3u + 3u);
   nn::Conv2d conv(2, 4, 3, 1, 1, rng);
   EXPECT_EQ(conv.ParameterCount(), 4u * 2u * 9u + 4u);
+}
+
+// ---- inference path ----------------------------------------------------------
+
+// Inference goes through EvalForward; it must equal Forward(x, false) to the
+// byte for every model the backbone factory builds, single- and
+// dual-channel, across a batch-size change (eval buffers are reused) and a
+// weight change (the conv's packed-weight cache is rebuilt).
+
+void ExpectSameBytes(const Tensor& a, const Tensor& b, const char* what) {
+  ASSERT_TRUE(a.SameShape(b)) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+      << what;
+}
+
+/// Multiplies every parameter by 0.5, bumping each tensor's version.
+template <typename Model>
+void HalveWeights(Model& model) {
+  for (nn::Parameter* p : model.Parameters()) {
+    for (float& v : p->value.flat()) v *= 0.5f;
+  }
+}
+
+std::vector<nn::ModelSpec> EveryBackboneSpec() {
+  std::vector<nn::ModelSpec> specs;
+  for (const nn::Arch arch :
+       {nn::Arch::kResNet, nn::Arch::kDenseNet, nn::Arch::kVGG}) {
+    nn::ModelSpec spec = TinyImageSpec(arch);
+    specs.push_back(spec);
+    // Large enough for the conv GEMMs to take the blocked, prepacked path.
+    spec.input_shape = {3, 16, 16};
+    spec.width = 8;
+    specs.push_back(spec);
+  }
+  nn::ModelSpec mlp;
+  mlp.arch = nn::Arch::kMLP;
+  mlp.input_shape = {10};
+  mlp.num_classes = 3;
+  mlp.width = 4;
+  specs.push_back(mlp);
+  return specs;
+}
+
+Shape BatchShape(const nn::ModelSpec& spec, std::size_t n) {
+  Shape shape{n};
+  shape.insert(shape.end(), spec.input_shape.begin(), spec.input_shape.end());
+  return shape;
+}
+
+TEST(EvalForward, ClassifierMatchesForwardBytewiseForEveryBackbone) {
+  for (const nn::ModelSpec& spec : EveryBackboneSpec()) {
+    SCOPED_TRACE(nn::ArchName(spec.arch) + " " +
+                 ShapeToString(spec.input_shape));
+    auto model = nn::MakeClassifier(spec);
+    Rng rng(31);
+    const Tensor big = RandomTensor(BatchShape(spec, 6), rng);
+    const Tensor small = RandomTensor(BatchShape(spec, 3), rng);
+
+    const Tensor eval_big = model->EvalForward(big);
+    ExpectSameBytes(eval_big, model->Forward(big, false), "batch 6");
+    const Tensor fwd_small = model->Forward(small, false);
+    ExpectSameBytes(model->EvalForward(small), fwd_small, "batch 3");
+    HalveWeights(*model);
+    const Tensor eval_new = model->EvalForward(big);
+    ExpectSameBytes(eval_new, model->Forward(big, false), "new weights");
+  }
+}
+
+TEST(EvalForward, DualChannelMatchesForwardBytewiseForEveryBackbone) {
+  for (const nn::ModelSpec& spec : EveryBackboneSpec()) {
+    SCOPED_TRACE(nn::ArchName(spec.arch) + " " +
+                 ShapeToString(spec.input_shape));
+    auto model = nn::MakeDualChannelClassifier(spec);
+    Rng rng(32);
+    const Tensor a1 = RandomTensor(BatchShape(spec, 6), rng);
+    const Tensor a2 = RandomTensor(BatchShape(spec, 6), rng);
+    const Tensor b1 = RandomTensor(BatchShape(spec, 3), rng);
+    const Tensor b2 = RandomTensor(BatchShape(spec, 3), rng);
+
+    const Tensor eval_a = model->EvalForward(a1, a2);
+    ExpectSameBytes(eval_a, model->Forward(a1, a2, false), "batch 6");
+    const Tensor fwd_b = model->Forward(b1, b2, false);
+    ExpectSameBytes(model->EvalForward(b1, b2), fwd_b, "batch 3");
+    HalveWeights(*model);
+    const Tensor eval_new = model->EvalForward(a1, a2);
+    ExpectSameBytes(eval_new, model->Forward(a1, a2, false), "new weights");
+  }
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // persistent worker pool — and the federated round engine built on them:
 // TSan-visible write patterns, spawn storms across changing budgets, nested
 // dispatch from inside a worker, exception propagation from workers, the
-// legacy CIP_SPAWN_THREADS=1 spawn-per-call path, and strict CIP_THREADS
-// parsing. Designed to run under the `tsan` preset — the overlapping-write
+// spawn dispatch the busy-pool fallback uses (forced at full budget through
+// internal::SetSpawnPerCallForTesting), and strict CIP_THREADS parsing. Designed to run under the `tsan` preset — the overlapping-write
 // scenarios only touch shared state through atomics, so a clean run
 // certifies the harness itself is race-free.
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/parallel.h"
 #include "data/partition.h"
 #include "fl/client_factory.h"
@@ -271,9 +270,9 @@ TEST(ParallelStress, DistinctWorkersActuallyParticipate) {
 }
 
 TEST(ParallelStress, SpawnPerCallPathStillWorks) {
-  // The legacy CIP_SPAWN_THREADS=1 dispatch (a thread per chunk, per call)
-  // stays behaviorally identical: disjoint writes, exception propagation,
-  // and determinism of the chunk partition.
+  // The spawn dispatch (fresh threads per call, caller included) stays
+  // behaviorally identical to the pool: disjoint writes, exception
+  // propagation, and determinism of the chunk partition.
   internal::SetSpawnPerCallForTesting(true);
   std::vector<int> hits(kN, 0);
   ParallelFor(0, kN, [&](std::size_t i) { hits[i] += 1; }, kThreads);
@@ -304,7 +303,7 @@ TEST(ParallelStress, PoolIsReusableAfterException) {
 TEST(ParallelStress, GemmBitIdenticalAcrossDispatchModes) {
   // The chunk partition depends only on (range, budget), never on which
   // thread runs a chunk — so a parallel GEMM must be bit-identical between
-  // the pool and the legacy spawn path. This is the kernel-level half of the
+  // the pool and the spawn dispatch. This is the kernel-level half of the
   // FL round bit-identity invariant (tests/test_round_engine.cpp holds the
   // round-level half).
   Rng rng(123);

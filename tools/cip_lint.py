@@ -63,9 +63,9 @@ Rules (see README "Correctness tooling"):
                   in src/tensor, src/nn, src/fl, src/core, src/common and
                   src/net headers should carry a doc comment on the
                   preceding line
-  doc-link        relative markdown links in README.md and docs/*.md must
-                  resolve to files that exist (stale links rot silently;
-                  anchors/URLs are not checked)
+  doc-link        relative markdown links in README.md, EXPERIMENTS.md,
+                  DESIGN.md and docs/*.md must resolve to files that exist
+                  (stale links rot silently; anchors/URLs are not checked)
 
 Exit status: 0 clean, 1 violations found, 2 usage/internal error. Warnings
 are printed but never affect the exit status.
@@ -365,12 +365,15 @@ def check_doc_comments(rel: str, lines: list[str]) -> list[Violation]:
 RE_MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # Targets the doc-link rule does not try to resolve.
 RE_MD_EXTERNAL = re.compile(r"^(https?://|mailto:|#)")
+# Top-level pages the doc-link rule checks, besides every docs/*.md.
+DOC_LINK_ROOT_PAGES = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
 
 
 def check_doc_links(root: pathlib.Path) -> list[Violation]:
-    """Relative links in README.md and docs/*.md must point at real files."""
+    """Relative links in the top-level and docs/ pages must point at real files."""
     out: list[Violation] = []
-    pages = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
+    pages = [root / name for name in DOC_LINK_ROOT_PAGES] + \
+        sorted((root / "docs").glob("*.md"))
     for page in pages:
         if not page.is_file():
             continue
@@ -458,24 +461,28 @@ def lint_tree(root: pathlib.Path) -> list[Violation]:
     return violations
 
 
-SELF_TEST_CASES = {
-    "pragma-once": "src/bad_header.h",
-    "banned-rand": "src/uses_rand.cpp",
-    "random-device": "src/uses_rd.cpp",
-    "unseeded-rng": "src/unseeded.cpp",
-    "reinterpret": "src/casts.cpp",
-    "include-style": "src/bad_include.cpp",
-    "doc-comment": "src/tensor/undocumented.h",
-    "bench-json": "BENCH_broken.json",
-    "bench-release": "BENCH_debug.json",
-    "rng-ref-param": "src/fl/bad_rng_param.h",
-    "client-vector": "src/eval/owns_clients.cpp",
-    "raw-thread": "src/spawns_thread.cpp",
-    "thread-include": "src/includes_mutex.cpp",
-    "intrinsic-include": "src/nn/includes_immintrin.cpp",
-    "socket-include": "src/fl/includes_socket.cpp",
-    "doc-link": "docs/bad_links.md",
-}
+# (rule, seeded file): the self-test fails unless each file is flagged under
+# its rule.
+SELF_TEST_CASES = [
+    ("pragma-once", "src/bad_header.h"),
+    ("banned-rand", "src/uses_rand.cpp"),
+    ("random-device", "src/uses_rd.cpp"),
+    ("unseeded-rng", "src/unseeded.cpp"),
+    ("reinterpret", "src/casts.cpp"),
+    ("include-style", "src/bad_include.cpp"),
+    ("doc-comment", "src/tensor/undocumented.h"),
+    ("bench-json", "BENCH_broken.json"),
+    ("bench-release", "BENCH_debug.json"),
+    ("rng-ref-param", "src/fl/bad_rng_param.h"),
+    ("client-vector", "src/eval/owns_clients.cpp"),
+    ("raw-thread", "src/spawns_thread.cpp"),
+    ("thread-include", "src/includes_mutex.cpp"),
+    ("intrinsic-include", "src/nn/includes_immintrin.cpp"),
+    ("socket-include", "src/fl/includes_socket.cpp"),
+    ("doc-link", "docs/bad_links.md"),
+    ("doc-link", "EXPERIMENTS.md"),
+    ("doc-link", "DESIGN.md"),
+]
 
 # Allowlisted paths seeded into the self-test tree that must produce zero
 # violations despite containing otherwise-banned constructs (the "clean"
@@ -606,6 +613,9 @@ SELF_TEST_SOURCES = {
         "[anchor](#section), a [URL](https://example.com/x.md), and\n"
         "```\n[not a link](inside_code_fence.md)\n```\n",
     "README.md": "Root page: [docs](docs/clean_links.md).\n",
+    # The top-level experiment and design pages are checked too.
+    "EXPERIMENTS.md": "Output lives in [the log](bench_output.txt).\n",
+    "DESIGN.md": "See [a deleted header](src/fl/gone.h).\n",
 }
 
 
@@ -617,10 +627,10 @@ def self_test() -> int:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(content, encoding="utf-8")
         violations = lint_tree(root)
-        rules_hit = {v.rule for v in violations}
+        hits = {(v.rule, v.path) for v in violations}
         ok = True
-        for rule, rel in SELF_TEST_CASES.items():
-            if rule not in rules_hit:
+        for rule, rel in SELF_TEST_CASES:
+            if (rule, rel) not in hits:
                 print(f"self-test FAIL: rule {rule} missed seeded violation in {rel}")
                 ok = False
         clean_hits = [str(v) for v in violations
