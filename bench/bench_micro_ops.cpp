@@ -169,17 +169,28 @@ void BM_Conv2dForwardNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForwardNaive);
 
-void BM_Conv2dBackward(benchmark::State& state) {
+// Forward + backward per iteration. kAccumulate resets the gradients after
+// each; kSkip is CIP Step I's conv backward (no db, im2col recompute or dW).
+void RunConv2dBackward(benchmark::State& state, nn::ParamGrads mode) {
   nn::Conv2d conv = MakeBenchConv();
   const Tensor x = RandomTensor({kConvN, kConvIC, kConvHW, kConvHW}, 15);
   const Tensor grad = RandomTensor({kConvN, kConvOC, kConvHW, kConvHW}, 16);
   for (auto _ : state) {
     conv.Forward(x, /*train=*/true);
-    benchmark::DoNotOptimize(conv.Backward(grad));
-    conv.ZeroGrad();
+    benchmark::DoNotOptimize(conv.Backward(grad, mode));
+    if (mode == nn::ParamGrads::kAccumulate) conv.ZeroGrad();
   }
 }
+
+void BM_Conv2dBackward(benchmark::State& state) {
+  RunConv2dBackward(state, nn::ParamGrads::kAccumulate);
+}
 BENCHMARK(BM_Conv2dBackward);
+
+void BM_Conv2dBackwardInputOnly(benchmark::State& state) {
+  RunConv2dBackward(state, nn::ParamGrads::kSkip);
+}
+BENCHMARK(BM_Conv2dBackwardInputOnly);
 
 // Forward + backward + gradient reset per iteration, like BM_Conv2dBackward.
 void BM_Conv2dBackwardNaive(benchmark::State& state) {
@@ -241,7 +252,10 @@ void BM_Blend(benchmark::State& state) {
 }
 BENCHMARK(BM_Blend)->Arg(32)->Arg(256);
 
-void BM_DualChannelTrainStep(benchmark::State& state) {
+// One dual-channel step (width range(0), batch 32): forward + backward in
+// `mode`. kAccumulate is a training step (gradients reset after each);
+// kSkip is one CIP Step I step's model work (θ fixed).
+void RunDualChannelStep(benchmark::State& state, nn::ParamGrads mode) {
   nn::ModelSpec spec;
   spec.arch = nn::Arch::kResNet;
   spec.input_shape = {3, 12, 12};
@@ -256,11 +270,20 @@ void BM_DualChannelTrainStep(benchmark::State& state) {
     const Tensor logits = model->Forward(x1, x2, true);
     Tensor dlogits;
     ops::SoftmaxCrossEntropy(logits, labels, &dlogits);
-    benchmark::DoNotOptimize(model->Backward(dlogits));
-    model->ZeroGrad();
+    benchmark::DoNotOptimize(model->Backward(dlogits, mode));
+    if (mode == nn::ParamGrads::kAccumulate) model->ZeroGrad();
   }
 }
+
+void BM_DualChannelTrainStep(benchmark::State& state) {
+  RunDualChannelStep(state, nn::ParamGrads::kAccumulate);
+}
 BENCHMARK(BM_DualChannelTrainStep)->Arg(8)->Arg(12);
+
+void BM_DualChannelStepIStep(benchmark::State& state) {
+  RunDualChannelStep(state, nn::ParamGrads::kSkip);
+}
+BENCHMARK(BM_DualChannelStepIStep)->Arg(8)->Arg(12);
 
 void BM_SingleChannelTrainStep(benchmark::State& state) {
   nn::ModelSpec spec;

@@ -120,17 +120,36 @@ int main() {
       gen.Sample(Scaled(50) * num_clients, shard_rng);
   const std::vector<data::Dataset> shards =
       data::PartitionIid(fed_data, num_clients, shard_rng);
-  fl::ClientStore store;  // live store owns the telemetry federation
-  for (std::size_t k = 0; k < num_clients; ++k) {
-    fl::ClientSpec fs = cs;  // CIP kind + knobs from above
-    fs.data = shards[k];
-    fs.seed = 108 + k;
-    store.Add(fl::MakeClient(fs));
-  }
-  fl::FlOptions options;
-  options.rounds = 3;
-  fl::FederatedAveraging server(fl::InitialStateFor(cs), options);
-  const fl::FlLog log = server.Run(store, /*run_seed=*/109);
+  // The same federation of legacy clients prices a CIP round against a
+  // no-defense one.
+  const auto run_federation = [&](fl::ClientKind kind) {
+    fl::ClientStore store;  // live store owns the telemetry federation
+    fl::ClientSpec spec = cs;  // CIP knobs from above
+    spec.kind = kind;
+    for (std::size_t k = 0; k < num_clients; ++k) {
+      fl::ClientSpec fs = spec;
+      fs.data = shards[k];
+      fs.seed = 108 + k;
+      store.Add(fl::MakeClient(fs));
+    }
+    fl::FlOptions options;
+    options.rounds = 3;
+    fl::FederatedAveraging server(fl::InitialStateFor(spec), options);
+    return server.Run(store, /*run_seed=*/109);
+  };
+  const auto mean_train_seconds = [](const fl::FlLog& l) {
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (const fl::RoundStats& r : l.telemetry.rounds) {
+      for (const fl::ClientRoundStats& c : r.clients) {
+        sum += c.train_seconds;
+        ++n;
+      }
+    }
+    return n > 0 ? sum / static_cast<double>(n) : 0.0;
+  };
+  const fl::FlLog legacy_log = run_federation(fl::ClientKind::kLegacy);
+  const fl::FlLog log = run_federation(fl::ClientKind::kCip);
 
   TextTable rounds_table(
       {"Round", "broadcast s", "train wall s", "aggregate s", "mean step1 s",
@@ -151,6 +170,13 @@ int main() {
                          TextTable::Num(s2 / n, 4)});
   }
   rounds_table.Print(std::cout);
+  const double legacy_s = mean_train_seconds(legacy_log);
+  const double cip_s = mean_train_seconds(log);
+  std::cout << "\nmean client train s per round: CIP "
+            << TextTable::Num(cip_s, 4) << ", no defense "
+            << TextTable::Num(legacy_s, 4) << " (CIP "
+            << TextTable::Num(legacy_s > 0.0 ? cip_s / legacy_s : 0.0, 2)
+            << "x)\n";
 
   const char* jsonl_path = "table11_round_telemetry.jsonl";
   std::ofstream jsonl(jsonl_path);

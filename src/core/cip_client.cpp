@@ -165,8 +165,9 @@ float OptimizePerturbation(nn::DualChannelClassifier& model,
     const Tensor logits = model.Forward(blended.c1, blended.c2, true);
     Tensor dlogits;
     last_loss = ops::SoftmaxCrossEntropy(logits, batch.labels, &dlogits);
-    auto [g1, g2] = model.Backward(dlogits);
-    model.ZeroGrad();  // Step I leaves θ untouched
+    // θ is held fixed: the input-gradient-only backward skips every
+    // weight-gradient GEMM and never touches Parameter::grad.
+    auto [g1, g2] = model.Backward(dlogits, nn::ParamGrads::kSkip);
 
     // dlogits already carries the 1/batch mean reduction, and t is shared
     // across the batch, so summing per-sample contributions in BlendGradT

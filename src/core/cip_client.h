@@ -82,6 +82,9 @@ class CipClient : public fl::ClientBase {
 /// Optimize a perturbation t against a *fixed* model on the given data for
 /// `steps` SGD iterations (Eq. 3); returns the final mean blended loss.
 /// Shared by CipClient's Step I and the Optimization-1 adaptive attack.
+/// It neither reads nor writes any Parameter::grad of `model`: every
+/// backward is input-gradient-only (nn::ParamGrads::kSkip), so θ and its
+/// gradient accumulators leave exactly as they came in.
 float OptimizePerturbation(nn::DualChannelClassifier& model,
                            const data::Dataset& data, Tensor& t,
                            const BlendConfig& blend, float lambda_t,

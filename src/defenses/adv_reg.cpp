@@ -119,8 +119,8 @@ float ArClient::TrainModelEpoch(Rng& rng) {
       dh[i * 2 + 1] = (1.0f - hp[i * 2 + 1]) / static_cast<float>(n);
     }
     ops::ScaleInPlace(dh, ar_.lambda);  // weight of the gain term
-    Tensor du = attacker_->Backward(dh);
-    attacker_->ZeroGrad();  // h is fixed in this phase
+    // h is fixed in this phase: input gradient only, its grads untouched.
+    Tensor du = attacker_->Backward(dh, nn::ParamGrads::kSkip);
     // Only the probs half of u depends on the model.
     const std::size_t c = probs.dim(1);
     Tensor dprobs({n, c});

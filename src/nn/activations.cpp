@@ -6,28 +6,24 @@ namespace cip::nn {
 
 Tensor ReLU::Forward(const Tensor& x, bool train) {
   Tensor y(x.shape());
-  Tensor mask(x.shape());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const bool pos = x[i] > 0.0f;
-    y[i] = pos ? x[i] : 0.0f;
-    mask[i] = pos ? 1.0f : 0.0f;
+  if (!train) {
+    ops::ReluInto(x, y, nullptr);
+    return y;
   }
-  if (train) cached_masks_.push(std::move(mask));
+  Tensor mask(x.shape());
+  ops::ReluInto(x, y, &mask);
+  cached_masks_.push(std::move(mask));
   return y;
 }
 
 // CIP_HOT  (serve-path activation: scratch-buffer reuse, no mask)
 const Tensor& ReLU::EvalForward(const Tensor& x) {
   EnsureShape(eval_out_, x.shape());
-  const float* px = x.data();
-  float* py = eval_out_.data();
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    py[i] = px[i] > 0.0f ? px[i] : 0.0f;
-  }
+  ops::ReluInto(x, eval_out_, nullptr);
   return eval_out_;
 }
 
-Tensor ReLU::Backward(const Tensor& grad_out) {
+Tensor ReLU::Backward(const Tensor& grad_out, ParamGrads /*mode*/) {
   CIP_CHECK_MSG(!cached_masks_.empty(), name_ << ": backward without forward");
   Tensor mask = std::move(cached_masks_.top());
   cached_masks_.pop();
@@ -56,7 +52,7 @@ Tensor Dropout::Forward(const Tensor& x, bool train) {
   return y;
 }
 
-Tensor Dropout::Backward(const Tensor& grad_out) {
+Tensor Dropout::Backward(const Tensor& grad_out, ParamGrads /*mode*/) {
   if (rate_ == 0.0f) return grad_out;
   CIP_CHECK_MSG(!cached_masks_.empty(), name_ << ": backward without forward");
   Tensor mask = std::move(cached_masks_.top());

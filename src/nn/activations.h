@@ -13,7 +13,9 @@ class ReLU : public Module {
   explicit ReLU(std::string name = "relu") : name_(std::move(name)) {}
 
   Tensor Forward(const Tensor& x, bool train) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  /// Input gradient only: no parameters, so `mode` changes nothing.
+  Tensor Backward(const Tensor& grad_out,
+                  ParamGrads mode = ParamGrads::kAccumulate) override;
   const Tensor& EvalForward(const Tensor& x) override;
   std::string Name() const override { return name_; }
   void ClearCache() override;
@@ -29,7 +31,9 @@ class Dropout : public Module {
   Dropout(float rate, Rng& rng, std::string name = "dropout");
 
   Tensor Forward(const Tensor& x, bool train) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  /// Input gradient only: no parameters, so `mode` changes nothing.
+  Tensor Backward(const Tensor& grad_out,
+                  ParamGrads mode = ParamGrads::kAccumulate) override;
   const Tensor& EvalForward(const Tensor& x) override { return x; }
   std::string Name() const override { return name_; }
   void ClearCache() override;

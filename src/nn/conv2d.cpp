@@ -107,7 +107,8 @@ const Tensor& Conv2d::EvalForward(const Tensor& x) {
   return eval_out_;
 }
 
-Tensor Conv2d::BackwardGemm(const Tensor& x, const Tensor& grad_out) {
+Tensor Conv2d::BackwardGemm(const Tensor& x, const Tensor& grad_out,
+                            ParamGrads mode) {
   const std::size_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const ops::Conv2dGeom geom = Geom(h, w);
   const std::size_t oh = geom.OutH(), ow = geom.OutW();
@@ -128,28 +129,30 @@ Tensor Conv2d::BackwardGemm(const Tensor& x, const Tensor& grad_out) {
     }
   });
 
-  // Bias gradient: column sums of gy_, accumulated without a temporary.
-  ops::SumRowsAccumInto(gy_, b_.grad);
+  if (mode == ParamGrads::kAccumulate) {
+    // Bias gradient: column sums of gy_, accumulated without a temporary.
+    ops::SumRowsAccumInto(gy_, b_.grad);
 
-  // Recompute the batched lowering of x. The col_ scratch cannot be trusted
-  // to still hold it: the dual-channel model runs forward(ch1), forward(ch2)
-  // and then backs them out LIFO, so by the time ch1's Backward runs, col_
-  // holds ch2's lowering.
-  EnsureShape(col_, {rows, patch});
-  {
-    // Hoisted for the same version-counter reason as in ForwardGemm.
-    const float* px_all = x.data();
-    float* pcol = col_.data();
-    ParallelFor(0, n, [&](std::size_t i) {
-      ops::Im2ColInto(px_all + i * ic_ * h * w, geom,
-                      pcol + i * oh * ow * patch);
-    });
+    // Recompute the batched lowering of x. The col_ scratch cannot be trusted
+    // to still hold it: the dual-channel model runs forward(ch1), forward(ch2)
+    // and then backs them out LIFO, so by the time ch1's Backward runs, col_
+    // holds ch2's lowering.
+    EnsureShape(col_, {rows, patch});
+    {
+      // Hoisted for the same version-counter reason as in ForwardGemm.
+      const float* px_all = x.data();
+      float* pcol = col_.data();
+      ParallelFor(0, n, [&](std::size_t i) {
+        ops::Im2ColInto(px_all + i * ic_ * h * w, geom,
+                        pcol + i * oh * ow * patch);
+      });
+    }
+
+    // Weight gradient: dW = gyᵀ · col, one GEMM for the whole batch.
+    EnsureShape(dw_, {oc_, patch});
+    ops::MatmulTransAInto(gy_, col_, dw_);
+    ops::AddInPlace(w_.grad, dw_);
   }
-
-  // Weight gradient: dW = gyᵀ · col, one GEMM for the whole batch.
-  EnsureShape(dw_, {oc_, patch});
-  ops::MatmulTransAInto(gy_, col_, dw_);
-  ops::AddInPlace(w_.grad, dw_);
 
   // Input gradient: back to column space with one GEMM, then scatter-add.
   EnsureShape(dcol_, {rows, patch});
@@ -166,7 +169,7 @@ Tensor Conv2d::BackwardGemm(const Tensor& x, const Tensor& grad_out) {
   return dx;
 }
 
-Tensor Conv2d::Backward(const Tensor& grad_out) {
+Tensor Conv2d::Backward(const Tensor& grad_out, ParamGrads mode) {
   CIP_CHECK_MSG(!cached_inputs_.empty(), name_ << ": backward without forward");
   const Tensor x = std::move(cached_inputs_.top());
   cached_inputs_.pop();
@@ -175,7 +178,7 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   CIP_CHECK_EQ(grad_out.dim(1), oc_);
   CIP_CHECK_EQ(grad_out.dim(2), OutExtent(h));
   CIP_CHECK_EQ(grad_out.dim(3), OutExtent(w));
-  return BackwardGemm(x, grad_out);
+  return BackwardGemm(x, grad_out, mode);
 }
 
 void Conv2d::CollectParameters(std::vector<Parameter*>& out) {

@@ -5,10 +5,11 @@
 // matrix, the convolution runs as one cache-blocked GEMM
 // (ops::MatmulTransBInto against the [OC, C·K·K] weight), and the backward
 // pass reuses the same lowering for dW (MatmulTransA), dX (Matmul + Col2Im)
-// and db. Scratch buffers are layer members reused across steps —
-// steady-state training does no per-call allocation beyond the returned
-// output tensor. tests/test_conv_parity.cpp holds forward and backward to a
-// direct-loop reference (tests/reference_conv.h) within 1e-5.
+// and db; an input-gradient-only backward (ParamGrads::kSkip) runs dX alone.
+// Scratch buffers are layer members reused across steps — steady-state
+// training does no per-call allocation beyond the returned output tensor.
+// tests/test_conv_parity.cpp holds forward and backward to a direct-loop
+// reference (tests/reference_conv.h) within 1e-5.
 //
 // Threading: Forward/Backward parallelize internally with ParallelFor
 // (samples for the lowering/scatter, row blocks inside the GEMM). A Conv2d
@@ -37,8 +38,10 @@ class Conv2d : public Module {
   /// `train`, pushes x on the activation stack for the matching Backward.
   Tensor Forward(const Tensor& x, bool train) override;
   /// grad_out: [N, out_channels, OutH, OutW] -> gradient w.r.t. the matching
-  /// Forward's input; accumulates into the weight/bias .grad tensors.
-  Tensor Backward(const Tensor& grad_out) override;
+  /// Forward's input. kAccumulate also adds db, and dW from a recomputed
+  /// lowering, into the .grad tensors; kSkip runs only the dX GEMM + col2im.
+  Tensor Backward(const Tensor& grad_out,
+                  ParamGrads mode = ParamGrads::kAccumulate) override;
   /// Inference forward into the persistent eval buffer: same GEMM core as
   /// Forward (bit-identical), zero allocations once the scratch is warm.
   const Tensor& EvalForward(const Tensor& x) override;
@@ -65,7 +68,8 @@ class Conv2d : public Module {
                      std::size_t ow);
   void ForwardGemmInto(const Tensor& x, std::size_t n, std::size_t oh,
                        std::size_t ow, Tensor& y);
-  Tensor BackwardGemm(const Tensor& x, const Tensor& grad_out);
+  Tensor BackwardGemm(const Tensor& x, const Tensor& grad_out,
+                      ParamGrads mode);
 
   std::size_t ic_, oc_, k_, stride_, pad_;
   std::string name_;

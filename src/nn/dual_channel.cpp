@@ -82,13 +82,13 @@ const Tensor& DualChannelClassifier::EvalForward(const Tensor& x1,
 }
 
 std::pair<Tensor, Tensor> DualChannelClassifier::Backward(
-    const Tensor& dlogits) {
-  Tensor dconcat = head_.Backward(dlogits);
+    const Tensor& dlogits, ParamGrads mode) {
+  Tensor dconcat = head_.Backward(dlogits, mode);
   CIP_DCHECK_EQ(dconcat.dim(1), 2 * feature_dim_);
   SplitColsInto(dconcat, feature_dim_, ga_, gb_);
   // Pop channel-2 caches first, then channel-1.
-  Tensor dx2 = backbone_->Backward(gap_.Backward(gb_));
-  Tensor dx1 = backbone_->Backward(gap_.Backward(ga_));
+  Tensor dx2 = backbone_->Backward(gap_.Backward(gb_), mode);
+  Tensor dx1 = backbone_->Backward(gap_.Backward(ga_), mode);
   return {std::move(dx1), std::move(dx2)};
 }
 

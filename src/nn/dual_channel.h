@@ -36,8 +36,11 @@ class DualChannelClassifier {
   /// reference is valid until the next forward through this model.
   const Tensor& EvalForward(const Tensor& x1, const Tensor& x2);
 
-  /// Backprop from dL/dlogits; returns (dL/dx1, dL/dx2).
-  std::pair<Tensor, Tensor> Backward(const Tensor& dlogits);
+  /// Backprop from dL/dlogits; returns (dL/dx1, dL/dx2). `mode` reaches
+  /// every layer (Module::Backward): kSkip leaves every Parameter::grad
+  /// untouched and returns the same bytes as kAccumulate.
+  std::pair<Tensor, Tensor> Backward(
+      const Tensor& dlogits, ParamGrads mode = ParamGrads::kAccumulate);
 
   /// All trainable parameters (shared backbone then head), deterministic order.
   std::vector<Parameter*> Parameters();

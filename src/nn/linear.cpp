@@ -63,7 +63,7 @@ void Linear::ForwardInto(const Tensor& x, Tensor& y) {
   }
 }
 
-Tensor Linear::Backward(const Tensor& grad_out) {
+Tensor Linear::Backward(const Tensor& grad_out, ParamGrads mode) {
   CIP_CHECK_MSG(!cached_inputs_.empty(), name_ << ": backward without forward");
   const Tensor x = std::move(cached_inputs_.top());
   cached_inputs_.pop();
@@ -71,10 +71,12 @@ Tensor Linear::Backward(const Tensor& grad_out) {
   CIP_CHECK_EQ(grad_out.dim(0), x.dim(0));
   CIP_CHECK_EQ(grad_out.dim(1), out_);
   // dW = gradᵀ · x,  db = sum over batch,  dx = grad · W
-  EnsureShape(dw_, {out_, in_});
-  ops::MatmulTransAInto(grad_out, x, dw_);
-  ops::AddInPlace(w_.grad, dw_);
-  ops::SumRowsAccumInto(grad_out, b_.grad);
+  if (mode == ParamGrads::kAccumulate) {
+    EnsureShape(dw_, {out_, in_});
+    ops::MatmulTransAInto(grad_out, x, dw_);
+    ops::AddInPlace(w_.grad, dw_);
+    ops::SumRowsAccumInto(grad_out, b_.grad);
+  }
   Tensor dx({x.dim(0), in_});
   ops::MatmulInto(grad_out, w_.value, dx);
   return dx;

@@ -19,7 +19,9 @@ class Linear : public Module {
          std::string name = "linear");
 
   Tensor Forward(const Tensor& x, bool train) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  /// dx = grad·W; kAccumulate also adds dW = gradᵀ·x and db into .grad.
+  Tensor Backward(const Tensor& grad_out,
+                  ParamGrads mode = ParamGrads::kAccumulate) override;
   /// Inference forward into the persistent eval buffer: same GEMM core as
   /// Forward (bit-identical), zero allocations once the scratch is warm.
   const Tensor& EvalForward(const Tensor& x) override;

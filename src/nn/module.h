@@ -9,6 +9,9 @@
 //
 // Backward always returns the gradient w.r.t. the module input; this is what
 // lets CIP's Step I obtain d(loss)/d(perturbation) without a general autograd.
+// Its ParamGrads mode says whether it also accumulates parameter gradients:
+// Step I holds θ fixed, so it asks for the input gradient alone (kSkip) and
+// pays for no weight-gradient GEMM.
 #pragma once
 
 #include <memory>
@@ -18,6 +21,14 @@
 #include "tensor/tensor.h"
 
 namespace cip::nn {
+
+/// What a Backward call does with parameter gradients. The input gradient it
+/// returns is bitwise the same under both modes: parameter gradients never
+/// feed it.
+enum class ParamGrads {
+  kAccumulate,  // add d(loss)/d(param) into every Parameter::grad (training)
+  kSkip,        // input gradient only: no Parameter::grad is read or written
+};
 
 /// A trainable tensor with its gradient accumulator.
 struct Parameter {
@@ -44,9 +55,13 @@ class Module {
   /// cache stack (only when `train` is true; inference pushes nothing).
   virtual Tensor Forward(const Tensor& x, bool train) = 0;
 
-  /// Pop the most recent forward cache, accumulate parameter gradients, and
-  /// return the gradient w.r.t. that forward call's input.
-  virtual Tensor Backward(const Tensor& grad_out) = 0;
+  /// Pop the most recent forward cache and return the gradient w.r.t. that
+  /// forward call's input. Under kAccumulate it also adds this call's
+  /// parameter gradients into each Parameter::grad; under kSkip it neither
+  /// reads nor writes any Parameter::grad (composites pass the mode down,
+  /// layers without parameters ignore it). Overrides repeat the default.
+  virtual Tensor Backward(const Tensor& grad_out,
+                          ParamGrads mode = ParamGrads::kAccumulate) = 0;
 
   /// Inference-only forward into a persistent per-module output buffer:
   /// bit-identical to Forward(x, /*train=*/false), but allocation-free at

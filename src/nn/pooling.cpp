@@ -102,7 +102,7 @@ const Tensor& AvgPool2d::EvalForward(const Tensor& x) {
   return eval_out_;
 }
 
-Tensor AvgPool2d::Backward(const Tensor& grad_out) {
+Tensor AvgPool2d::Backward(const Tensor& grad_out, ParamGrads /*mode*/) {
   CIP_CHECK_MSG(!cached_shapes_.empty(), name_ << ": backward without forward");
   const Shape in_shape = std::move(cached_shapes_.top());
   cached_shapes_.pop();
@@ -162,7 +162,7 @@ const Tensor& MaxPool2d::EvalForward(const Tensor& x) {
   return eval_out_;
 }
 
-Tensor MaxPool2d::Backward(const Tensor& grad_out) {
+Tensor MaxPool2d::Backward(const Tensor& grad_out, ParamGrads /*mode*/) {
   CIP_CHECK_MSG(!cache_.empty(), name_ << ": backward without forward");
   Cache cache = std::move(cache_.top());
   cache_.pop();
@@ -204,7 +204,7 @@ const Tensor& Flatten::EvalForward(const Tensor& x) {
   return eval_out_;
 }
 
-Tensor Flatten::Backward(const Tensor& grad_out) {
+Tensor Flatten::Backward(const Tensor& grad_out, ParamGrads /*mode*/) {
   CIP_CHECK_MSG(!cached_shapes_.empty(), name_ << ": backward without forward");
   const Shape in_shape = std::move(cached_shapes_.top());
   cached_shapes_.pop();
@@ -238,7 +238,7 @@ const Tensor& GlobalAvgPool::EvalForward(const Tensor& x) {
   return eval_out_;
 }
 
-Tensor GlobalAvgPool::Backward(const Tensor& grad_out) {
+Tensor GlobalAvgPool::Backward(const Tensor& grad_out, ParamGrads /*mode*/) {
   CIP_CHECK_MSG(!cached_shapes_.empty(), name_ << ": backward without forward");
   const Shape in_shape = std::move(cached_shapes_.top());
   cached_shapes_.pop();

@@ -14,7 +14,9 @@ class AvgPool2d : public Module {
   explicit AvgPool2d(std::size_t window, std::string name = "avgpool");
 
   Tensor Forward(const Tensor& x, bool train) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  /// Input gradient only: no parameters, so `mode` changes nothing.
+  Tensor Backward(const Tensor& grad_out,
+                  ParamGrads mode = ParamGrads::kAccumulate) override;
   const Tensor& EvalForward(const Tensor& x) override;
   std::string Name() const override { return name_; }
   void ClearCache() override;
@@ -31,7 +33,9 @@ class MaxPool2d : public Module {
   explicit MaxPool2d(std::size_t window, std::string name = "maxpool");
 
   Tensor Forward(const Tensor& x, bool train) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  /// Input gradient only: no parameters, so `mode` changes nothing.
+  Tensor Backward(const Tensor& grad_out,
+                  ParamGrads mode = ParamGrads::kAccumulate) override;
   const Tensor& EvalForward(const Tensor& x) override;
   std::string Name() const override { return name_; }
   void ClearCache() override;
@@ -52,7 +56,9 @@ class Flatten : public Module {
   explicit Flatten(std::string name = "flatten") : name_(std::move(name)) {}
 
   Tensor Forward(const Tensor& x, bool train) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  /// Input gradient only: no parameters, so `mode` changes nothing.
+  Tensor Backward(const Tensor& grad_out,
+                  ParamGrads mode = ParamGrads::kAccumulate) override;
   const Tensor& EvalForward(const Tensor& x) override;
   std::string Name() const override { return name_; }
   void ClearCache() override;
@@ -70,7 +76,9 @@ class GlobalAvgPool : public Module {
   explicit GlobalAvgPool(std::string name = "gap") : name_(std::move(name)) {}
 
   Tensor Forward(const Tensor& x, bool train) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  /// Input gradient only: no parameters, so `mode` changes nothing.
+  Tensor Backward(const Tensor& grad_out,
+                  ParamGrads mode = ParamGrads::kAccumulate) override;
   const Tensor& EvalForward(const Tensor& x) override;
   std::string Name() const override { return name_; }
   void ClearCache() override;

@@ -17,10 +17,10 @@ const Tensor& Sequential::EvalForward(const Tensor& x) {
   return *h;
 }
 
-Tensor Sequential::Backward(const Tensor& grad_out) {
+Tensor Sequential::Backward(const Tensor& grad_out, ParamGrads mode) {
   Tensor g = grad_out;
   for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
-    g = (*it)->Backward(g);
+    g = (*it)->Backward(g, mode);
   }
   return g;
 }
@@ -54,8 +54,8 @@ const Tensor& Residual::EvalForward(const Tensor& x) {
   return eval_out_;
 }
 
-Tensor Residual::Backward(const Tensor& grad_out) {
-  Tensor g = inner_->Backward(grad_out);
+Tensor Residual::Backward(const Tensor& grad_out, ParamGrads mode) {
+  Tensor g = inner_->Backward(grad_out, mode);
   ops::AddInPlace(g, grad_out);  // shortcut path
   return g;
 }
@@ -109,7 +109,7 @@ const Tensor& DenseConcat::EvalForward(const Tensor& x) {
   return eval_out_;
 }
 
-Tensor DenseConcat::Backward(const Tensor& grad_out) {
+Tensor DenseConcat::Backward(const Tensor& grad_out, ParamGrads mode) {
   CIP_CHECK_MSG(!cached_channels_.empty(),
                 name_ << ": backward without forward");
   const auto [cx, cy] = cached_channels_.top();
@@ -124,7 +124,7 @@ Tensor DenseConcat::Backward(const Tensor& grad_out) {
     std::copy(pg, pg + cx * hw, gx.data() + i * cx * hw);
     std::copy(pg + cx * hw, pg + (cx + cy) * hw, gy.data() + i * cy * hw);
   }
-  Tensor g_inner = inner_->Backward(gy);
+  Tensor g_inner = inner_->Backward(gy, mode);
   ops::AddInPlace(gx, g_inner);
   return gx;
 }

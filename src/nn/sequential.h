@@ -22,7 +22,9 @@ class Sequential : public Module {
   }
 
   Tensor Forward(const Tensor& x, bool train) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  /// Children's Backward in reverse order, each given `mode`.
+  Tensor Backward(const Tensor& grad_out,
+                  ParamGrads mode = ParamGrads::kAccumulate) override;
   const Tensor& EvalForward(const Tensor& x) override;
   void CollectParameters(std::vector<Parameter*>& out) override;
   std::string Name() const override { return name_; }
@@ -45,7 +47,9 @@ class Residual : public Module {
   }
 
   Tensor Forward(const Tensor& x, bool train) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  /// inner's Backward (given `mode`) plus the shortcut gradient.
+  Tensor Backward(const Tensor& grad_out,
+                  ParamGrads mode = ParamGrads::kAccumulate) override;
   const Tensor& EvalForward(const Tensor& x) override;
   void CollectParameters(std::vector<Parameter*>& out) override;
   std::string Name() const override { return name_; }
@@ -66,7 +70,9 @@ class DenseConcat : public Module {
   }
 
   Tensor Forward(const Tensor& x, bool train) override;
-  Tensor Backward(const Tensor& grad_out) override;
+  /// Splits grad_out by channel; inner's share goes through inner (`mode`).
+  Tensor Backward(const Tensor& grad_out,
+                  ParamGrads mode = ParamGrads::kAccumulate) override;
   const Tensor& EvalForward(const Tensor& x) override;
   void CollectParameters(std::vector<Parameter*>& out) override;
   std::string Name() const override { return name_; }

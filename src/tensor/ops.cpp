@@ -86,6 +86,27 @@ Tensor Sign(const Tensor& a) {
   return out;
 }
 
+// CIP_HOT  (ReLU forward: training and serve path)
+void ReluInto(const Tensor& x, Tensor& y, Tensor* mask) {
+  CIP_CHECK(y.SameShape(x));
+  const std::size_t n = x.size();
+  const float* px = x.data();
+  float* py = y.data();
+  // std::max(0, v) is (0 < v) ? v : 0, which -O3 lowers to a compare-and-
+  // mask instead of a per-element branch (mispredicted on random signs).
+  if (mask == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) py[i] = std::max(0.0f, px[i]);
+    return;
+  }
+  CIP_CHECK(mask->SameShape(x));
+  float* pm = mask->data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = px[i];
+    py[i] = std::max(0.0f, v);
+    pm[i] = static_cast<float>(v > 0.0f);
+  }
+}
+
 float SumAll(const Tensor& a) {
   double s = 0.0;
   for (float x : a.flat()) s += x;

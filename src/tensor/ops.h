@@ -35,6 +35,11 @@ void ClipInPlace(Tensor& a, float lo, float hi);
 Tensor ClipMask(const Tensor& a, float lo, float hi);
 /// Elementwise sign (-1, 0, +1).
 Tensor Sign(const Tensor& a);
+/// ReLU: y = max(0, x) and, when `mask` is non-null, mask = 1 where x > 0
+/// else 0 (the derivative). y and *mask must already have x's shape.
+/// Branch-free and vectorizable, yet bitwise equal to `x > 0 ? x : 0` for
+/// every input: −0, +0 and NaN all give +0.
+void ReluInto(const Tensor& x, Tensor& y, Tensor* mask);
 
 // ---- reductions -----------------------------------------------------------
 

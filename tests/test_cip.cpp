@@ -3,6 +3,8 @@
 // Theorem-1 formulas.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/blend.h"
 #include "core/cip_client.h"
 #include "core/cip_model.h"
@@ -219,6 +221,100 @@ TEST(OptimizePerturbation, L1TermShrinksT) {
   core::OptimizePerturbation(*model, train, t_big, blend, /*λt=*/0.0f, 0.05f,
                              30, 32, r2);
   EXPECT_LT(ops::L1Norm(t_small), ops::L1Norm(t_big));
+}
+
+/// Step I as it ran before the input-gradient-only backward: a full
+/// Backward that accumulates every parameter gradient, then ZeroGrad.
+void ReferenceOptimizePerturbation(nn::DualChannelClassifier& model,
+                                   const data::Dataset& data, Tensor& t,
+                                   const core::BlendConfig& blend,
+                                   float lambda_t, float lr_t,
+                                   std::size_t steps, std::size_t batch_size,
+                                   Rng& rng) {
+  for (std::size_t s = 0; s < steps; ++s) {
+    const std::size_t bsz = std::min(batch_size, data.size());
+    std::vector<std::size_t> idx(bsz);
+    for (std::size_t i = 0; i < bsz; ++i) idx[i] = rng.Index(data.size());
+    const data::Dataset batch = data.Subset(idx);
+    const core::Blended blended = core::Blend(batch.inputs, t, blend);
+    const Tensor logits = model.Forward(blended.c1, blended.c2, true);
+    Tensor dlogits;
+    ops::SoftmaxCrossEntropy(logits, batch.labels, &dlogits);
+    auto [g1, g2] = model.Backward(dlogits, nn::ParamGrads::kAccumulate);
+    model.ZeroGrad();
+    Tensor gt = core::BlendGradT(blended, g1, g2, blend.alpha);
+    ops::Axpy(gt, lambda_t, ops::Sign(t));
+    ops::Axpy(t, -lr_t, gt);
+    ops::ClipInPlace(t, blend.clip_lo, blend.clip_hi);
+  }
+}
+
+void ExpectStepIMatchesReference(const nn::ModelSpec& spec,
+                                 const data::Dataset& train) {
+  SCOPED_TRACE(nn::ArchName(spec.arch));
+  core::BlendConfig blend;
+  blend.alpha = 0.5f;
+  Rng init(61);
+  const Tensor t0 = core::Perturbation::Random(train.SampleShape(), init)
+                        .tensor();
+
+  auto ref_model = nn::MakeDualChannelClassifier(spec);
+  Tensor t_ref = t0;
+  Rng r_ref(62);
+  ReferenceOptimizePerturbation(*ref_model, train, t_ref, blend, 1e-4f, 0.05f,
+                                /*steps=*/6, /*batch_size=*/16, r_ref);
+
+  auto model = nn::MakeDualChannelClassifier(spec);
+  // Non-zero accumulators: Step I must neither read nor write them.
+  Rng fill(63);
+  std::vector<Tensor> grads_before, values_before;
+  for (nn::Parameter* p : model->Parameters()) {
+    for (float& g : p->grad.flat()) g = fill.Normal();
+    grads_before.push_back(p->grad);
+    values_before.push_back(p->value);
+  }
+  Tensor t = t0;
+  Rng r(62);
+  core::OptimizePerturbation(*model, train, t, blend, 1e-4f, 0.05f,
+                             /*steps=*/6, /*batch_size=*/16, r);
+
+  ASSERT_TRUE(t.SameShape(t_ref));
+  EXPECT_EQ(std::memcmp(t.data(), t_ref.data(), t.size() * sizeof(float)), 0);
+  EXPECT_EQ(r.Index(1u << 30), r_ref.Index(1u << 30));  // same draws consumed
+  const std::vector<nn::Parameter*> params = model->Parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const Tensor& g = params[i]->grad;
+    const Tensor& v = params[i]->value;
+    EXPECT_EQ(std::memcmp(g.data(), grads_before[i].data(),
+                          g.size() * sizeof(float)),
+              0)
+        << params[i]->name << " grad";
+    EXPECT_EQ(std::memcmp(v.data(), values_before[i].data(),
+                          v.size() * sizeof(float)),
+              0)
+        << params[i]->name << " value";
+  }
+}
+
+TEST(OptimizePerturbation, MatchesFullBackwardReferenceBytewise) {
+  Rng rng(60);
+  data::SyntheticVision vision(data::ChMnistLike());
+  nn::ModelSpec resnet;
+  resnet.arch = nn::Arch::kResNet;
+  resnet.input_shape = vision.SampleShape();
+  resnet.num_classes = 8;
+  resnet.width = 4;
+  resnet.seed = 43;
+  ExpectStepIMatchesReference(resnet, vision.Sample(40, rng));
+
+  data::SyntheticPurchase purchase(data::Purchase50Like());
+  nn::ModelSpec mlp;
+  mlp.arch = nn::Arch::kMLP;
+  mlp.input_shape = {200};
+  mlp.num_classes = 50;
+  mlp.width = 6;
+  mlp.seed = 44;
+  ExpectStepIMatchesReference(mlp, purchase.Sample(40, rng));
 }
 
 TEST(CipClient, RoundImprovesBlendedAccuracy) {

@@ -3,7 +3,9 @@
 // scalar loss, for both parameters and inputs.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/rng.h"
 #include "nn/activations.h"
@@ -402,6 +404,175 @@ TEST(EvalForward, DualChannelMatchesForwardBytewiseForEveryBackbone) {
     const Tensor eval_new = model->EvalForward(a1, a2);
     ExpectSameBytes(eval_new, model->Forward(a1, a2, false), "new weights");
   }
+}
+
+
+// ---- input-gradient-only backward -------------------------------------------
+
+// Backward(g, kSkip) must return the same dX bytes as Backward(g,
+// kAccumulate) and leave every Parameter::grad byte-for-byte as it found it.
+// The accumulators are pre-filled with non-zero values, so both a stray
+// accumulation and a stray zeroing show.
+
+/// Overwrites every gradient accumulator with non-zero values; returns a
+/// copy of them.
+template <typename Model>
+std::vector<Tensor> FillGradsNonZero(Model& model, Rng& rng) {
+  std::vector<Tensor> filled;
+  for (nn::Parameter* p : model.Parameters()) {
+    for (float& g : p->grad.flat()) g = 1.0f + std::abs(rng.Normal());
+    filled.push_back(p->grad);
+  }
+  return filled;
+}
+
+template <typename Model>
+void ExpectGradsEqual(Model& model, const std::vector<Tensor>& expected) {
+  const std::vector<nn::Parameter*> params = model.Parameters();
+  ASSERT_EQ(params.size(), expected.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    ExpectSameBytes(params[i]->grad, expected[i], params[i]->name.c_str());
+  }
+}
+
+template <typename Model>
+std::vector<Tensor> GradsOf(Model& model) {
+  std::vector<Tensor> out;
+  for (const nn::Parameter* p : model.Parameters()) out.push_back(p->grad);
+  return out;
+}
+
+/// Runs Forward + Backward on `module` three times with the same input and
+/// upstream gradient: kAccumulate from zero grads, kSkip from non-zero
+/// grads, then kAccumulate from zero grads again (a kSkip pass must not
+/// leave scratch state that changes a later accumulation).
+void ExpectSkipMatchesAccumulate(Module& module, const Tensor& x) {
+  Rng rng(51);
+  module.ZeroGrad();
+  const Tensor g = RandomTensor(module.Forward(x, false).shape(), rng);
+
+  module.Forward(x, /*train=*/true);
+  const Tensor dx_acc = module.Backward(g, nn::ParamGrads::kAccumulate);
+  const std::vector<Tensor> grads_acc = GradsOf(module);
+
+  const std::vector<Tensor> filled = FillGradsNonZero(module, rng);
+  module.Forward(x, /*train=*/true);
+  const Tensor dx_skip = module.Backward(g, nn::ParamGrads::kSkip);
+  ExpectSameBytes(dx_skip, dx_acc, "dX");
+  ExpectGradsEqual(module, filled);
+
+  module.ZeroGrad();
+  module.Forward(x, /*train=*/true);
+  module.Backward(g);
+  ExpectGradsEqual(module, grads_acc);
+}
+
+TEST(SkipParamGrads, Conv2dStrideAndPaddingVariants) {
+  struct Case {
+    std::size_t ic, oc, k, stride, pad, n, hw;
+  };
+  // The last case is large enough for the blocked GEMM.
+  for (const Case c : {Case{3, 4, 3, 1, 1, 2, 6}, Case{2, 3, 3, 2, 0, 2, 7},
+                       Case{3, 5, 1, 1, 0, 3, 4}, Case{2, 4, 5, 2, 2, 2, 9},
+                       Case{8, 16, 3, 1, 1, 8, 12}}) {
+    SCOPED_TRACE(::testing::Message() << "k" << c.k << " s" << c.stride
+                                      << " p" << c.pad << " ic" << c.ic);
+    Rng rng(52);
+    nn::Conv2d conv(c.ic, c.oc, c.k, c.stride, c.pad, rng);
+    ExpectSkipMatchesAccumulate(conv, RandomTensor({c.n, c.ic, c.hw, c.hw},
+                                                   rng));
+  }
+}
+
+TEST(SkipParamGrads, Linear) {
+  Rng rng(53);
+  nn::Linear small(7, 5, rng);
+  ExpectSkipMatchesAccumulate(small, RandomTensor({3, 7}, rng));
+  nn::Linear big(96, 64, rng);  // blocked GEMM regime
+  ExpectSkipMatchesAccumulate(big, RandomTensor({32, 96}, rng));
+}
+
+TEST(SkipParamGrads, ResidualDenseConcatAndSequential) {
+  Rng rng(54);
+  auto res_inner = std::make_unique<nn::Sequential>();
+  res_inner->Add(std::make_unique<nn::Conv2d>(2, 2, 3, 1, 1, rng, "c"))
+      .Add(std::make_unique<nn::ReLU>());
+  nn::Residual residual(std::move(res_inner));
+  ExpectSkipMatchesAccumulate(residual, RandomTensor({2, 2, 5, 5}, rng));
+
+  auto dense_inner = std::make_unique<nn::Sequential>();
+  dense_inner->Add(std::make_unique<nn::Conv2d>(2, 3, 3, 1, 1, rng, "c"));
+  nn::DenseConcat dense(std::move(dense_inner));
+  ExpectSkipMatchesAccumulate(dense, RandomTensor({2, 2, 4, 4}, rng));
+
+  nn::Sequential seq;
+  seq.Add(std::make_unique<nn::Conv2d>(1, 3, 3, 1, 1, rng, "c1"))
+      .Add(std::make_unique<nn::ReLU>())
+      .Add(std::make_unique<nn::MaxPool2d>(2))
+      .Add(std::make_unique<nn::Flatten>())
+      .Add(std::make_unique<nn::Linear>(12, 4, rng, "fc"));
+  ExpectSkipMatchesAccumulate(seq, RandomTensor({2, 1, 4, 4}, rng, 2.0f));
+}
+
+TEST(SkipParamGrads, DualChannelEveryBackbone) {
+  for (const nn::ModelSpec& spec : EveryBackboneSpec()) {
+    SCOPED_TRACE(nn::ArchName(spec.arch) + " " +
+                 ShapeToString(spec.input_shape));
+    auto model = nn::MakeDualChannelClassifier(spec);
+    Rng rng(55);
+    const Tensor x1 = RandomTensor(BatchShape(spec, 5), rng);
+    const Tensor x2 = RandomTensor(BatchShape(spec, 5), rng);
+    const Tensor dlogits =
+        RandomTensor(model->Forward(x1, x2, false).shape(), rng);
+
+    model->Forward(x1, x2, /*train=*/true);
+    const auto [dx1_acc, dx2_acc] =
+        model->Backward(dlogits, nn::ParamGrads::kAccumulate);
+    const std::vector<Tensor> grads_acc = GradsOf(*model);
+
+    const std::vector<Tensor> filled = FillGradsNonZero(*model, rng);
+    model->Forward(x1, x2, /*train=*/true);
+    const auto [dx1_skip, dx2_skip] =
+        model->Backward(dlogits, nn::ParamGrads::kSkip);
+    ExpectSameBytes(dx1_skip, dx1_acc, "dx1");
+    ExpectSameBytes(dx2_skip, dx2_acc, "dx2");
+    ExpectGradsEqual(*model, filled);
+
+    model->ZeroGrad();
+    model->Forward(x1, x2, /*train=*/true);
+    model->Backward(dlogits);
+    ExpectGradsEqual(*model, grads_acc);
+  }
+}
+
+// ---- ReLU -------------------------------------------------------------------
+
+TEST(ReLU, MatchesBranchyExpressionBytewiseOnSpecialValues) {
+  const float specials[] = {-0.0f,
+                            0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            1.0f,
+                            -1.0f};
+  // 37 elements: full vector blocks plus a scalar tail.
+  Tensor x({37});
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = specials[i % 8];
+  Tensor want_y(x.shape()), want_mask(x.shape());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    want_y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    want_mask[i] = x[i] > 0.0f ? 1.0f : 0.0f;
+  }
+
+  nn::ReLU relu;
+  ExpectSameBytes(relu.Forward(x, /*train=*/false), want_y, "eval forward");
+  ExpectSameBytes(relu.EvalForward(x), want_y, "EvalForward");
+  ExpectSameBytes(relu.Forward(x, /*train=*/true), want_y, "train forward");
+  Tensor ones(x.shape());
+  ones.Fill(1.0f);
+  // Backward multiplies by the cached mask, so 1·mask gives its bytes.
+  ExpectSameBytes(relu.Backward(ones), want_mask, "mask");
 }
 
 }  // namespace
