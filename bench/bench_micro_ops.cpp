@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the numeric kernels every
 // experiment is built on: matmul (blocked GEMM, persistent-pool vs
-// spawn-per-call dispatch), im2col/GEMM Conv2d vs the direct-loop reference
+// spawn-per-call dispatch), implicit-GEMM Conv2d vs the direct-loop reference
 // convolution in tests/reference_conv.h,
 // softmax/cross-entropy, the CIP blending function, and a full dual-channel
 // forward/backward step. docs/BENCHMARKS.md explains how
@@ -122,7 +122,7 @@ void BM_MatmulTransB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulTransB)->Arg(64)->Arg(256);
 
-// --- convolution: im2col/GEMM Conv2d vs the direct-loop reference ---------
+// --- convolution: implicit-GEMM Conv2d vs the direct-loop reference --------
 //
 // Backbone-sized shape (batch 32, 3->32 channels, 32x32, k3 s1 p1). The
 // committed BENCH_kernels.json records the GEMM/naive ratio at CIP_THREADS=1
@@ -170,7 +170,8 @@ void BM_Conv2dForwardNaive(benchmark::State& state) {
 BENCHMARK(BM_Conv2dForwardNaive);
 
 // Forward + backward per iteration. kAccumulate resets the gradients after
-// each; kSkip is CIP Step I's conv backward (no db, im2col recompute or dW).
+// each; kSkip is CIP Step I's conv backward (no db, padded-batch gather or
+// dW).
 void RunConv2dBackward(benchmark::State& state, nn::ParamGrads mode) {
   nn::Conv2d conv = MakeBenchConv();
   const Tensor x = RandomTensor({kConvN, kConvIC, kConvHW, kConvHW}, 15);

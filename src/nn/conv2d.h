@@ -1,21 +1,29 @@
 // 2-D convolution over NCHW ([N, C, H, W]) tensors with stride and symmetric
 // zero padding.
 //
-// The whole batch is lowered with ops::Im2ColInto into a per-layer scratch
-// matrix, the convolution runs as one cache-blocked GEMM
-// (ops::MatmulTransBInto against the [OC, C·K·K] weight), and the backward
-// pass reuses the same lowering for dW (MatmulTransA), dX (Matmul + Col2Im)
-// and db; an input-gradient-only backward (ParamGrads::kSkip) runs dX alone.
-// Scratch buffers are layer members reused across steps — steady-state
-// training does no per-call allocation beyond the returned output tensor.
-// tests/test_conv_parity.cpp holds forward and backward to a direct-loop
-// reference (tests/reference_conv.h) within 1e-5.
+// Every pass is a per-sample implicit GEMM in channel-major orientation on
+// the bound GEMM kernel (ops::ActiveGemmKernel().gemm_rows): the sample is
+// zero-padded once into a thread-local arena and the kernel's nr-wide B
+// panels are filled straight from it, so no im2col matrix is ever built.
+//   forward  y  = W[OC, C·K·K] · taps[C·K·K, grid], cropped to NCHW + bias
+//   dX          = Wᵀ · grad-grid, scattered back tap by tap (descending taps)
+//   dW, db      = gradᵀ · taps over the whole batch, one column panel of dW
+//                 per GEMM call; bias sums straight onto db
+// An input-gradient-only backward (ParamGrads::kSkip) runs dX alone. Every
+// result is bit-identical to the im2col lowering run through Matmul*Into
+// (tests/test_conv_parity.cpp holds them memcmp-equal, and within 1e-5 of
+// the direct-loop reference in tests/reference_conv.h); docs/KERNELS.md
+// ("Packing layout") has the argument. Products below the blocked-GEMM
+// threshold take the streaming multiply-add loop, as Matmul*Into does.
+//
+// Scratch lives in per-thread grow-once arenas, not in the layer: steady-
+// state calls allocate only the tensors they return (output, dx) and the
+// cached training input.
 //
 // Threading: Forward/Backward parallelize internally with ParallelFor
-// (samples for the lowering/scatter, row blocks inside the GEMM). A Conv2d
-// instance is NOT safe to call from two threads at once — the activation
-// stack and the scratch buffers are per-instance state. Distinct instances
-// are independent.
+// (samples for forward and dX, dW column panels). A Conv2d instance is NOT
+// safe to call from two threads at once — the activation stack is
+// per-instance state. Distinct instances are independent.
 #pragma once
 
 #include <stack>
@@ -38,8 +46,8 @@ class Conv2d : public Module {
   /// `train`, pushes x on the activation stack for the matching Backward.
   Tensor Forward(const Tensor& x, bool train) override;
   /// grad_out: [N, out_channels, OutH, OutW] -> gradient w.r.t. the matching
-  /// Forward's input. kAccumulate also adds db, and dW from a recomputed
-  /// lowering, into the .grad tensors; kSkip runs only the dX GEMM + col2im.
+  /// Forward's input. kAccumulate also adds db and dW into the .grad
+  /// tensors; kSkip runs only the dX GEMMs and scatter.
   Tensor Backward(const Tensor& grad_out,
                   ParamGrads mode = ParamGrads::kAccumulate) override;
   /// Inference forward into the persistent eval buffer: same GEMM core as
@@ -64,33 +72,27 @@ class Conv2d : public Module {
     return {ic_, h, w, k_, stride_, pad_};
   }
 
-  Tensor ForwardGemm(const Tensor& x, std::size_t n, std::size_t oh,
-                     std::size_t ow);
-  void ForwardGemmInto(const Tensor& x, std::size_t n, std::size_t oh,
-                       std::size_t ow, Tensor& y);
-  Tensor BackwardGemm(const Tensor& x, const Tensor& grad_out,
-                      ParamGrads mode);
+  Tensor ForwardGemm(const Tensor& x);
+  void ForwardGemmInto(const Tensor& x, Tensor& y);
+  void AccumulateParamGrads(const Tensor& x, const Tensor& grad_out,
+                            const ops::Conv2dGeom& g, bool blocked);
+  Tensor InputGrad(const Tensor& grad_out, const ops::Conv2dGeom& g,
+                   bool blocked);
 
   std::size_t ic_, oc_, k_, stride_, pad_;
   std::string name_;
   Parameter w_;  // [OC, IC*K*K]
   Parameter b_;  // [OC]
   std::stack<Tensor> cached_inputs_;
-
-  // Scratch, reused across steps (reallocated only on shape
-  // change). col_: [N·OH·OW, IC·K·K] batched im2col; gemm_y_: [N·OH·OW, OC]
-  // forward product; gy_: [N·OH·OW, OC] grad_out in row-major GEMM layout;
-  // dcol_: [N·OH·OW, IC·K·K] column-space input gradient; dw_: [OC, IC·K·K]
-  // per-call weight gradient before accumulation.
-  Tensor col_, gemm_y_, gy_, dcol_, dw_;
-
-  // Forward weight pre-packed for the blocked GEMM, rebuilt only when
-  // w_.value.version() moves (i.e. after an optimizer step) or when the
-  // bound GEMM ISA differs from the one it was packed for (panel layouts
-  // are per-ISA, docs/KERNELS.md). Keeps the steady-state eval forward
-  // free of the per-call packing pass.
-  ops::PackedB packed_w_;
-  std::uint64_t packed_w_version_ = 0;
 };
+
+namespace internal {
+
+/// Capacity in bytes of the calling thread's conv scratch arena (grow-once /
+/// reuse-forever, like ops::internal::GemmArenaBytes). Test hook: stable
+/// across steady-state calls once warmed up.
+std::size_t ConvArenaBytes();
+
+}  // namespace internal
 
 }  // namespace cip::nn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/parallel.h"
 #include "tensor/gemm_kernels.h"
@@ -460,11 +461,10 @@ void CheckGeom(const Conv2dGeom& g) {
   CIP_CHECK_GE(g.width + 2 * g.pad, g.kernel);
 }
 
-}  // namespace
-
-// CIP_HOT  (per-sample im2col body, runs inside ParallelFor)
-void Im2ColInto(const float* x_sample, const Conv2dGeom& g, float* col_rows) {
-  CheckGeom(g);
+// One C·H·W sample at `x_sample` lowered into OutH·OutW consecutive rows of
+// PatchSize() floats at `col_rows` (layout as documented on Im2ColInto).
+void Im2ColSample(const float* x_sample, const Conv2dGeom& g,
+                  float* col_rows) {
   const std::size_t h = g.height, w = g.width, k = g.kernel;
   const std::size_t oh = g.OutH(), ow = g.OutW();
   const std::size_t cols = g.PatchSize();
@@ -500,32 +500,10 @@ void Im2ColInto(const float* x_sample, const Conv2dGeom& g, float* col_rows) {
   }
 }
 
-void Im2ColInto(const Tensor& x, std::size_t n_index, const Conv2dGeom& g,
-                Tensor& col, std::size_t row_offset) {
-  CheckGeom(g);
-  CIP_DCHECK_EQ(x.rank(), 4u);
-  CIP_DCHECK_LT(n_index, x.dim(0));
-  CIP_DCHECK_EQ(x.dim(1), g.in_channels);
-  CIP_DCHECK_EQ(x.dim(2), g.height);
-  CIP_DCHECK_EQ(x.dim(3), g.width);
-  CIP_DCHECK_EQ(col.rank(), 2u);
-  CIP_DCHECK_EQ(col.dim(1), g.PatchSize());
-  CIP_DCHECK_LE(row_offset + g.OutH() * g.OutW(), col.dim(0));
-  Im2ColInto(
-      x.data() + n_index * g.in_channels * g.height * g.width, g,
-      col.data() + row_offset * g.PatchSize());
-}
-
-Tensor Im2Col(const Tensor& x, std::size_t n_index, const Conv2dGeom& g) {
-  CheckGeom(g);
-  Tensor col({g.OutH() * g.OutW(), g.PatchSize()});
-  Im2ColInto(x, n_index, g, col, 0);
-  return col;
-}
-
-// CIP_HOT  (per-sample col2im body, runs inside ParallelFor)
-void Col2ImInto(const float* col_rows, const Conv2dGeom& g, float* dx_sample) {
-  CheckGeom(g);
+// Scatter-add OutH·OutW rows at `col_rows` into one C·H·W sample at
+// `dx_sample` (the adjoint of Im2ColSample).
+void Col2ImSample(const float* col_rows, const Conv2dGeom& g,
+                  float* dx_sample) {
   const std::size_t h = g.height, w = g.width, k = g.kernel;
   const std::size_t oh = g.OutH(), ow = g.OutW();
   const std::size_t cols = g.PatchSize();
@@ -553,6 +531,30 @@ void Col2ImInto(const float* col_rows, const Conv2dGeom& g, float* dx_sample) {
   }
 }
 
+}  // namespace
+
+void Im2ColInto(const Tensor& x, std::size_t n_index, const Conv2dGeom& g,
+                Tensor& col, std::size_t row_offset) {
+  CheckGeom(g);
+  CIP_DCHECK_EQ(x.rank(), 4u);
+  CIP_DCHECK_LT(n_index, x.dim(0));
+  CIP_DCHECK_EQ(x.dim(1), g.in_channels);
+  CIP_DCHECK_EQ(x.dim(2), g.height);
+  CIP_DCHECK_EQ(x.dim(3), g.width);
+  CIP_DCHECK_EQ(col.rank(), 2u);
+  CIP_DCHECK_EQ(col.dim(1), g.PatchSize());
+  CIP_DCHECK_LE(row_offset + g.OutH() * g.OutW(), col.dim(0));
+  Im2ColSample(x.data() + n_index * g.in_channels * g.height * g.width, g,
+               col.data() + row_offset * g.PatchSize());
+}
+
+Tensor Im2Col(const Tensor& x, std::size_t n_index, const Conv2dGeom& g) {
+  CheckGeom(g);
+  Tensor col({g.OutH() * g.OutW(), g.PatchSize()});
+  Im2ColInto(x, n_index, g, col, 0);
+  return col;
+}
+
 void Col2ImInto(const Tensor& col, std::size_t row_offset, const Conv2dGeom& g,
                 Tensor& dx, std::size_t n_index) {
   CheckGeom(g);
@@ -564,9 +566,237 @@ void Col2ImInto(const Tensor& col, std::size_t row_offset, const Conv2dGeom& g,
   CIP_DCHECK_EQ(dx.dim(1), g.in_channels);
   CIP_DCHECK_EQ(dx.dim(2), g.height);
   CIP_DCHECK_EQ(dx.dim(3), g.width);
-  Col2ImInto(
-      col.data() + row_offset * g.PatchSize(), g,
-      dx.data() + n_index * g.in_channels * g.height * g.width);
+  Col2ImSample(col.data() + row_offset * g.PatchSize(), g,
+               dx.data() + n_index * g.in_channels * g.height * g.width);
+}
+
+// ---- implicit-GEMM convolution helpers -------------------------------------
+
+namespace {
+
+// Widest panel the strided packers keep grid offsets for on the stack; every
+// bound kernel's nr (8 or 16) is far below it.
+constexpr std::size_t kMaxPanelWidth = 64;
+
+// Stride-1 forward panels: row p of panel jp is the NR floats of the padded
+// image starting at tap p's shift plus the panel's first grid column — one
+// fixed-size block copy. NR == 0 takes the width from `nr` at run time.
+template <std::size_t NR>
+void PackShiftedPanels(const float* xpad, const Conv2dGeom& g, std::size_t nr,
+                       float* panels) {
+  const std::size_t width = NR != 0 ? NR : nr;
+  const std::size_t k = g.kernel, wp = g.PaddedW();
+  const std::size_t plane = g.PaddedH() * wp;
+  const std::size_t npanels = (g.GridSize() + width - 1) / width;
+  float* dst = panels;
+  for (std::size_t jp = 0; jp < npanels; ++jp) {
+    const float* base = xpad + jp * width;
+    for (std::size_t c = 0; c < g.in_channels; ++c) {
+      for (std::size_t ky = 0; ky < k; ++ky) {
+        const float* src = base + c * plane + ky * wp;
+        for (std::size_t kx = 0; kx < k; ++kx, dst += width) {
+          std::memcpy(dst, src + kx, width * sizeof(float));
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+// CIP_HOT  (implicit-GEMM conv: per-sample zero padding)
+void PadSampleInto(const float* x_sample, const Conv2dGeom& g, std::size_t nr,
+                   float* xpad) {
+  const std::size_t h = g.height, w = g.width, pad = g.pad, wp = g.PaddedW();
+  float* dst = xpad;
+  const float* src = x_sample;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    dst = std::fill_n(dst, pad * wp, 0.0f);
+    for (std::size_t iy = 0; iy < h; ++iy, src += w) {
+      dst = std::fill_n(dst, pad, 0.0f);
+      dst = std::copy_n(src, w, dst);
+      dst = std::fill_n(dst, pad, 0.0f);
+    }
+    dst = std::fill_n(dst, pad * wp, 0.0f);
+  }
+  std::fill_n(dst, g.kernel + nr, 0.0f);
+}
+
+// CIP_HOT  (implicit-GEMM conv: crop the padded dX back to the input)
+void UnpadSampleInto(const float* xpad, const Conv2dGeom& g, float* x_sample) {
+  const std::size_t h = g.height, w = g.width, wp = g.PaddedW();
+  const float* src = xpad + g.pad * wp + g.pad;
+  float* dst = x_sample;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    for (std::size_t iy = 0; iy < h; ++iy, dst += w) {
+      std::copy_n(src + iy * wp, w, dst);
+    }
+    src += g.PaddedH() * wp;
+  }
+}
+
+// CIP_HOT  (implicit-GEMM conv: forward B panels straight from the padded input)
+void PackTapPanelsInto(const float* xpad, const Conv2dGeom& g, std::size_t nr,
+                       float* panels) {
+  if (g.stride == 1) {
+    switch (nr) {
+      case 8:
+        PackShiftedPanels<8>(xpad, g, nr, panels);
+        return;
+      case 16:
+        PackShiftedPanels<16>(xpad, g, nr, panels);
+        return;
+      default:
+        PackShiftedPanels<0>(xpad, g, nr, panels);
+        return;
+    }
+  }
+  CIP_CHECK_LE(nr, kMaxPanelWidth);
+  const std::size_t k = g.kernel, wp = g.PaddedW();
+  const std::size_t plane = g.PaddedH() * wp, cols = g.GridSize();
+  const std::size_t ow = g.OutW(), step = g.stride;
+  std::size_t off[kMaxPanelWidth];  // grid column -> offset from a tap origin
+  float* dst = panels;
+  for (std::size_t j0 = 0; j0 < cols; j0 += nr) {
+    const std::size_t jn = std::min(nr, cols - j0);
+    for (std::size_t jj = 0; jj < jn; ++jj) {
+      const std::size_t j = j0 + jj;
+      off[jj] = (j / ow) * step * wp + (j % ow) * step;
+    }
+    for (std::size_t c = 0; c < g.in_channels; ++c) {
+      for (std::size_t ky = 0; ky < k; ++ky) {
+        for (std::size_t kx = 0; kx < k; ++kx, dst += nr) {
+          const float* tap = xpad + c * plane + ky * wp + kx;
+          for (std::size_t jj = 0; jj < jn; ++jj) dst[jj] = tap[off[jj]];
+          std::fill(dst + jn, dst + nr, 0.0f);
+        }
+      }
+    }
+  }
+}
+
+// CIP_HOT  (implicit-GEMM conv: grid product -> NCHW output plus bias)
+void CropGridInto(const float* grid, const Conv2dGeom& g, std::size_t rows,
+                  const float* bias, float* out) {
+  const std::size_t oh = g.OutH(), ow = g.OutW(), gw = g.GridW();
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float b = bias[r];
+    const float* src = grid + r * oh * gw;
+    float* dst = out + r * oh * ow;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        dst[oy * ow + ox] = src[oy * gw + ox] + b;
+      }
+    }
+  }
+}
+
+// CIP_HOT  (implicit-GEMM conv: grad_out sample -> dX GEMM B panels)
+void PackGridPanelsInto(const float* src, std::size_t rows,
+                        const Conv2dGeom& g, std::size_t nr, float* panels) {
+  const std::size_t oh = g.OutH(), ow = g.OutW(), gw = g.GridW();
+  const std::size_t npanels = (oh * gw + nr - 1) / nr;
+  for (std::size_t r = 0; r < rows; ++r) {
+    // Walk row r of the grid in order; (jp, jj) tracks its panel slot.
+    std::size_t jp = 0, jj = 0;
+    const auto put = [&](float v) {
+      panels[(jp * rows + r) * nr + jj] = v;
+      if (++jj == nr) {
+        jj = 0;
+        ++jp;
+      }
+    };
+    const float* row = src + r * oh * ow;
+    for (std::size_t oy = 0; oy < oh; ++oy, row += ow) {
+      for (std::size_t ox = 0; ox < gw; ++ox) put(ox < ow ? row[ox] : 0.0f);
+    }
+    while (jp < npanels) put(0.0f);
+  }
+}
+
+// CIP_HOT  (implicit-GEMM conv: tap-gradient scatter, the col2im replacement)
+void ScatterTapsInto(const float* dcol, const Conv2dGeom& g, std::size_t nr,
+                     float* dxpad) {
+  std::fill_n(dxpad, g.PaddedSize(nr), 0.0f);
+  const std::size_t k = g.kernel, wp = g.PaddedW(), step = g.stride;
+  const std::size_t plane = g.PaddedH() * wp, cols = g.GridSize();
+  const std::size_t oh = g.OutH(), ow = g.OutW();
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    // A pixel receives tap (ky, kx) from output (oy, ox) with
+    // oy·stride + ky and ox·stride + kx fixed, so descending taps visit its
+    // contributors in ascending (oy, ox) order, as col2im does.
+    for (std::size_t ky = k; ky-- > 0;) {
+      for (std::size_t kx = k; kx-- > 0;) {
+        const float* src = dcol + ((c * k + ky) * k + kx) * cols;
+        float* dst = dxpad + c * plane + ky * wp + kx;
+        if (step == 1) {
+          for (std::size_t j = 0; j < cols; ++j) dst[j] += src[j];
+          continue;
+        }
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+          float* drow = dst + oy * step * wp;
+          const float* srow = src + oy * ow;
+          for (std::size_t ox = 0; ox < ow; ++ox) drow[ox * step] += srow[ox];
+        }
+      }
+    }
+  }
+}
+
+// CIP_HOT  (implicit-GEMM conv: one dW B panel over the whole batch)
+void PackPatchPanelInto(const float* xpad_batch, std::size_t samples,
+                        const Conv2dGeom& g, std::size_t p0, std::size_t nr,
+                        float* panel) {
+  CIP_CHECK_LE(nr, kMaxPanelWidth);
+  const std::size_t k = g.kernel, wp = g.PaddedW(), step = g.stride;
+  const std::size_t plane = g.PaddedH() * wp, stride_n = g.PaddedSize(nr);
+  const std::size_t oh = g.OutH(), ow = g.OutW();
+  const std::size_t jn = std::min(nr, g.PatchSize() - p0);
+  std::size_t tap[kMaxPanelWidth];
+  for (std::size_t jj = 0; jj < jn; ++jj) {
+    const std::size_t p = p0 + jj;
+    tap[jj] = (p / (k * k)) * plane + (p / k % k) * wp + p % k;
+  }
+  float* dst = panel;
+  for (std::size_t i = 0; i < samples; ++i) {
+    const float* xpad = xpad_batch + i * stride_n;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox, dst += nr) {
+        const float* origin = xpad + oy * step * wp + ox * step;
+        for (std::size_t jj = 0; jj < jn; ++jj) dst[jj] = origin[tap[jj]];
+        std::fill(dst + jn, dst + nr, 0.0f);
+      }
+    }
+  }
+}
+
+// CIP_HOT  (implicit-GEMM conv below the blocked threshold)
+void StreamingPanelGemm(const float* a, std::size_t m, std::size_t k,
+                        std::size_t n, const float* panels, std::size_t nr,
+                        float* c, StreamingForm form) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    if (form == StreamingForm::kDot) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const float* bp = panels + (j / nr) * k * nr + j % nr;
+        float s = 0.0f;
+        for (std::size_t p = 0; p < k; ++p) s += arow[p] * bp[p * nr];
+        crow[j] = s;
+      }
+      continue;
+    }
+    std::fill_n(crow, n, 0.0f);
+    for (std::size_t p = 0; p < k; ++p) {
+      const float av = arow[p];
+      if (av == 0.0f) continue;
+      for (std::size_t j0 = 0; j0 < n; j0 += nr) {
+        const float* bp = panels + j0 * k + p * nr;
+        const std::size_t jn = std::min(nr, n - j0);
+        for (std::size_t jj = 0; jj < jn; ++jj) crow[j0 + jj] += av * bp[jj];
+      }
+    }
+  }
 }
 
 Tensor SoftmaxRows(const Tensor& logits) {

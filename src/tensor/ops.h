@@ -105,10 +105,10 @@ void MatmulTransAInto(const Tensor& a, const Tensor& b, Tensor& c);
 // Every blocked matmul first repacks B into nr-wide column panels, where nr
 // is the panel width of the ISA microkernel bound for this process. When the
 // same B is multiplied repeatedly without changing (a frozen weight matrix
-// across an eval sweep, the whole batch of an im2col GEMM), the packing pass
-// can be hoisted out and paid once. Layers cache a PackedB next to the
-// weight and invalidate it via Tensor::version() *and* via isa() against
-// ActiveGemmIsa(), since the panel layout is an ISA property.
+// across an eval sweep), the packing pass can be hoisted out and paid once.
+// nn::Linear caches a PackedB next to its weight and invalidates it via
+// Tensor::version() *and* via isa() against ActiveGemmIsa(), since the panel
+// layout is an ISA property.
 
 /// IsaLevel of the GEMM microkernel bound for this process (binds on first
 /// use; see gemm_kernels.h). PackedB caches key on this: a packing built
@@ -176,12 +176,13 @@ std::uint64_t PackCount();
 
 }  // namespace internal
 
-// ---- convolution lowering (im2col / col2im) --------------------------------
+// ---- convolution geometry and lowering (im2col / col2im) -------------------
 //
-// The conv2d hot path lowers convolution to GEMM: Im2Col unrolls each
-// receptive field of an NCHW sample into one row of a column matrix, the
-// convolution becomes `col · Wᵀ`, and Col2Im scatters the column-matrix
-// gradient back to image layout. See docs/ARCHITECTURE.md ("GEMM path").
+// Im2Col unrolls each receptive field of an NCHW sample into one row of a
+// column matrix, so a convolution becomes `col · Wᵀ`, and Col2Im scatters a
+// column-matrix gradient back to image layout. nn::Conv2d does not lower
+// (it uses the implicit-GEMM helpers below); the bitwise conv oracle in
+// tests/ and the im2col probes in bench/ and cipbench/ are built from these.
 
 /// Static geometry of a 2-D convolution over NCHW tensors with symmetric
 /// zero padding. `kernel` must satisfy `kernel <= height + 2*pad` (same for
@@ -201,16 +202,23 @@ struct Conv2dGeom {
   /// Receptive-field size C·K·K — the column count of the im2col matrix and
   /// the row length of a conv weight matrix [OC, C·K·K].
   std::size_t PatchSize() const { return in_channels * kernel * kernel; }
-};
 
-/// Raw-pointer core of Im2ColInto: lower one C·H·W sample at `x_sample`
-/// into `col_rows`, OutH·OutW consecutive rows of PatchSize() floats each
-/// (layout as documented on the Tensor overload). This is the overload to
-/// call from inside a parallel region: it takes pre-hoisted pointers, so
-/// concurrent per-sample calls never touch a shared Tensor's non-const
-/// accessors (whose version bump is an unsynchronized write, see tensor.h).
-/// `col_rows` must not alias `x_sample`.
-void Im2ColInto(const float* x_sample, const Conv2dGeom& g, float* col_rows);
+  /// Zero-padded extents Hp = H + 2·pad and Wp = W + 2·pad.
+  std::size_t PaddedH() const { return height + 2 * pad; }
+  std::size_t PaddedW() const { return width + 2 * pad; }
+  /// Floats in one zero-padded sample buffer: C·Hp·Wp plus K + nr floats of
+  /// zero tail, so stride-1 panel reads and tap scatters that run past the
+  /// last padded row stay in bounds.
+  std::size_t PaddedSize(std::size_t nr) const {
+    return in_channels * PaddedH() * PaddedW() + kernel + nr;
+  }
+  /// Width of the implicit-GEMM output grid. Stride 1 computes whole padded
+  /// rows (Wp columns, the first OutW of which are outputs), so every tap is
+  /// one contiguous shift of the padded image; larger strides use OutW.
+  std::size_t GridW() const { return stride == 1 ? PaddedW() : OutW(); }
+  /// Columns of the implicit-GEMM output grid: OutH · GridW().
+  std::size_t GridSize() const { return OutH() * GridW(); }
+};
 
 /// Lower sample `n_index` of an NCHW tensor `x` into rows
 /// [row_offset, row_offset + OutH·OutW) of `col`, a matrix with
@@ -218,8 +226,7 @@ void Im2ColInto(const float* x_sample, const Conv2dGeom& g, float* col_rows);
 /// output position (oy, ox) in C-major, then ky, then kx order; out-of-image
 /// taps are written as 0. Every addressed element of `col` is overwritten.
 /// NOT safe to call concurrently on a shared `col` even for disjoint row
-/// ranges — each call bumps col's version counter unsynchronized; parallel
-/// callers hoist col.data() once and use the raw-pointer overload instead.
+/// ranges — each call bumps col's version counter unsynchronized.
 /// `col` must not alias `x`.
 void Im2ColInto(const Tensor& x, std::size_t n_index, const Conv2dGeom& g,
                 Tensor& col, std::size_t row_offset = 0);
@@ -228,22 +235,95 @@ void Im2ColInto(const Tensor& x, std::size_t n_index, const Conv2dGeom& g,
 /// matrix of one sample.
 Tensor Im2Col(const Tensor& x, std::size_t n_index, const Conv2dGeom& g);
 
-/// Raw-pointer core of Col2ImInto: scatter-add OutH·OutW rows at `col_rows`
-/// into one C·H·W sample at `dx_sample` (accumulating — the caller zeroes
-/// first). Like the Im2ColInto raw overload, this is the form for parallel
-/// regions: pointers are hoisted by the caller, so concurrent per-sample
-/// calls perform no shared version-counter writes. Pointers must not alias.
-void Col2ImInto(const float* col_rows, const Conv2dGeom& g, float* dx_sample);
-
 /// Adjoint of Im2ColInto: scatter-add rows [row_offset, row_offset+OutH·OutW)
 /// of `col` back into sample `n_index` of the NCHW tensor `dx` (accumulating,
 /// so `dx` must be zeroed by the caller first). Overlapping receptive fields
 /// sum, which is exactly d(loss)/d(input) of the lowered convolution. NOT
 /// safe to call concurrently on a shared `dx` (unsynchronized version bump,
-/// as with Im2ColInto) — parallel callers hoist dx.data() once and use the
-/// raw-pointer overload. `col` must not alias `dx`.
+/// as with Im2ColInto). `col` must not alias `dx`.
 void Col2ImInto(const Tensor& col, std::size_t row_offset, const Conv2dGeom& g,
                 Tensor& dx, std::size_t n_index);
+
+// ---- implicit-GEMM convolution ---------------------------------------------
+//
+// nn::Conv2d runs each sample as C = A · B with B's nr-wide panels (nr = the
+// bound GEMM kernel's panel width, gemm_kernels.h) filled straight from a
+// zero-padded copy of the sample, so no im2col matrix exists. Forward is
+// W[OC, C·K·K] · taps[C·K·K, grid]; dX is Wᵀ · grad-grid followed by a
+// descending-tap scatter; dW is gradᵀ · taps over the whole batch, one
+// column panel at a time. docs/KERNELS.md ("Packing layout") gives the
+// layouts and why every result is bit-identical to the im2col lowering run
+// through Matmul*Into. All helpers take pre-hoisted raw pointers, so they
+// are safe to call per sample inside a parallel region; no pointer pair may
+// alias.
+
+/// Floats of nr-wide panel storage for a [k, n] right-hand side:
+/// ceil(n / nr) panels of k rows × nr.
+inline std::size_t PanelStorage(std::size_t k, std::size_t n, std::size_t nr) {
+  return (n + nr - 1) / nr * nr * k;
+}
+
+/// Copy one C·H·W sample into `xpad` as C planes of Hp × Wp with a zero
+/// border, followed by the zero tail; writes all g.PaddedSize(nr) floats.
+void PadSampleInto(const float* x_sample, const Conv2dGeom& g, std::size_t nr,
+                   float* xpad);
+
+/// Inverse of PadSampleInto: copy the C·H·W interior of a padded sample out.
+void UnpadSampleInto(const float* xpad, const Conv2dGeom& g, float* x_sample);
+
+/// Forward B panels: B(p, j) = the padded input under tap p = (c, ky, kx) at
+/// output-grid column j, i.e. xpad[c·Hp·Wp + ky·Wp + kx + offset(j)] with
+/// offset(j) = j at stride 1 (one nr-float copy per panel row) and
+/// (j / OutW)·stride·Wp + (j % OutW)·stride otherwise (a strided gather).
+/// Writes PanelStorage(PatchSize(), GridSize(), nr) floats. At stride 1 the
+/// lanes past GridSize() in the last panel hold padded-buffer values, which
+/// the kernel never stores; otherwise they are zero.
+void PackTapPanelsInto(const float* xpad, const Conv2dGeom& g, std::size_t nr,
+                       float* panels);
+
+/// Crop a [rows, GridSize()] product to [rows, OutH, OutW] and add
+/// bias[row]: out = grid + bias, the forward's last step.
+void CropGridInto(const float* grid, const Conv2dGeom& g, std::size_t rows,
+                  const float* bias, float* out);
+
+/// Panels of a [rows, GridSize()] grid matrix built from a dense
+/// [rows, OutH, OutW] source (one sample of grad_out): the grid's padding
+/// columns and the last panel's spare lanes are +0. Writes
+/// PanelStorage(rows, GridSize(), nr) floats.
+void PackGridPanelsInto(const float* src, std::size_t rows,
+                        const Conv2dGeom& g, std::size_t nr, float* panels);
+
+/// dX scatter: zero-fill a padded sample buffer (g.PaddedSize(nr) floats),
+/// then add row p of the [PatchSize(), GridSize()] tap gradient onto the
+/// padded image shifted by tap p, taps in (c, ky descending, kx descending)
+/// order. For every input pixel that is exactly col2im's ascending-(oy, ox)
+/// accumulation order.
+void ScatterTapsInto(const float* dcol, const Conv2dGeom& g, std::size_t nr,
+                     float* dxpad);
+
+/// dW B panel: the nr tap columns [p0, p0 + nr) over every output position
+/// of `samples` padded samples (consecutive, g.PaddedSize(nr) floats apart),
+/// rows in ascending (sample, oy, ox) order with no grid padding columns —
+/// im2col's rows, one column panel. Lanes past PatchSize() are zero. Writes
+/// samples·OutH·OutW·nr floats.
+void PackPatchPanelInto(const float* xpad_batch, std::size_t samples,
+                        const Conv2dGeom& g, std::size_t p0, std::size_t nr,
+                        float* panel);
+
+/// Which streaming loop of Matmul*Into StreamingPanelGemm mirrors. Both
+/// accumulate each element over ascending p from +0 with every product and
+/// sum rounded (no FMA); they differ in operand order at the adds, which
+/// decides which NaN survives when two meet.
+enum class StreamingForm {
+  kDot,        ///< MatmulTransBInto's per-element dot product
+  kRowUpdate,  ///< MatmulInto/MatmulTransAInto's row update, zero A skipped
+};
+
+/// C[m, n] = A[m, k] · B over nr-wide panels with the plain loops
+/// Matmul*Into use below the blocked threshold (internal::UsesBlockedGemm).
+void StreamingPanelGemm(const float* a, std::size_t m, std::size_t k,
+                        std::size_t n, const float* panels, std::size_t nr,
+                        float* c, StreamingForm form);
 
 // ---- softmax family --------------------------------------------------------
 

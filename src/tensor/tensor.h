@@ -17,8 +17,8 @@
 // threads is a data race even when the element writes themselves are
 // disjoint. Parallel writers to a shared tensor must therefore hoist a
 // single non-const data()/flat() call out of the parallel region and share
-// the raw pointer (see the ops::Im2ColInto / ops::Col2ImInto raw-pointer
-// overloads for the idiom).
+// the raw pointer (see nn::Conv2d's calls into the raw-pointer
+// implicit-GEMM helpers of tensor/ops.h for the idiom).
 //
 // internal::TensorAllocCount() counts element-buffer allocations process-wide
 // so tests can assert that steady-state hot paths stop allocating (see

@@ -2,14 +2,16 @@
 //
 // The acceptance contract of the persistent-pool / scratch-arena work: after
 // a warm-up call has grown every per-layer scratch tensor, per-thread GEMM
-// arena, and cached PackedB weight, repeated forward (and train-step) calls
-// must perform no heap allocation beyond the tensors they hand back to the
-// caller. Verified through two hooks:
+// and conv arena, and cached PackedB weight, repeated forward (and
+// train-step) calls must perform no heap allocation beyond the tensors they
+// hand back to the caller. Verified through three hooks:
 //   * cip::internal::TensorAllocCount() — process-wide counter bumped by
 //     every Tensor element-buffer allocation (constructions and
 //     capacity-growing assignments);
 //   * cip::ops::internal::GemmArenaBytes()/PackCount() — the calling
-//     thread's GEMM scratch capacity and packing-pass count.
+//     thread's GEMM scratch capacity and packing-pass count;
+//   * cip::nn::internal::ConvArenaBytes() — the calling thread's implicit-
+//     GEMM conv scratch capacity.
 //
 // These tests run the layers serially (no explicit thread budget) so all
 // arena traffic lands on this thread; the pool's workers amortize their own
@@ -21,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/cip_client.h"
 #include "data/partition.h"
@@ -118,12 +121,13 @@ TEST(AllocFree, PackedBSkipsRepacking) {
 
 TEST(AllocFree, Conv2dEvalForwardAllocatesOnlyTheOutput) {
   // The acceptance gate: steady-state Conv2d forward performs zero heap
-  // allocations beyond the returned output tensor — im2col scratch, GEMM
-  // product scratch, the packed weight, and the GEMM arena are all reused.
+  // allocations beyond the returned output tensor — the padded sample, the
+  // B panels and the GEMM product all live in per-thread grow-once arenas,
+  // and the GEMM arena is not touched at all.
   Rng rng(7);
   nn::Conv2d conv(3, 32, /*kernel=*/3, /*stride=*/1, /*padding=*/1, rng);
   const Tensor x = RandomTensor({8, 3, 16, 16}, 8);
-  (void)conv.Forward(x, /*train=*/false);  // warm-up: scratch + pack
+  (void)conv.Forward(x, /*train=*/false);  // warm-up: grows the arenas
   const std::size_t arena = ops::internal::GemmArenaBytes();
   const std::uint64_t packs = ops::internal::PackCount();
   const std::uint64_t allocs = AllocCount();
@@ -134,22 +138,68 @@ TEST(AllocFree, Conv2dEvalForwardAllocatesOnlyTheOutput) {
   }
   // Exactly one allocation per call: the returned output.
   EXPECT_EQ(AllocCount(), allocs + kIters);
-  EXPECT_EQ(ops::internal::PackCount(), packs);  // weight unchanged: no repack
+  EXPECT_EQ(ops::internal::PackCount(), packs);  // no GEMM packing pass
   EXPECT_EQ(ops::internal::GemmArenaBytes(), arena);
 }
 
-TEST(AllocFree, Conv2dRepacksAfterWeightUpdate) {
-  Rng rng(9);
-  nn::Conv2d conv(3, 32, /*kernel=*/3, /*stride=*/1, /*padding=*/1, rng);
+TEST(AllocFree, Conv2dForwardReadsTheLiveWeight) {
+  // No packed-weight cache to go stale: the implicit GEMM reads W directly,
+  // so an optimizer-style in-place update shows in the very next forward —
+  // bit-identical to a layer that had the updated weight from the start —
+  // with no packing pass and still only the output allocated.
+  Rng rng_a(9), rng_b(9);
+  nn::Conv2d conv(3, 32, /*kernel=*/3, /*stride=*/1, /*padding=*/1, rng_a);
+  nn::Conv2d fresh(3, 32, /*kernel=*/3, /*stride=*/1, /*padding=*/1, rng_b);
   const Tensor x = RandomTensor({8, 3, 16, 16}, 10);
-  (void)conv.Forward(x, /*train=*/false);
+  const Tensor before = conv.Forward(x, /*train=*/false);
+  conv.Parameters()[0]->value.data()[0] += 0.5f;
+  fresh.Parameters()[0]->value.data()[0] += 0.5f;
   const std::uint64_t packs = ops::internal::PackCount();
-  // Touch the weight the way an optimizer step does.
-  std::vector<nn::Parameter*> params;
-  conv.CollectParameters(params);
-  params[0]->value.data()[0] += 0.5f;
-  (void)conv.Forward(x, /*train=*/false);
-  EXPECT_GT(ops::internal::PackCount(), packs);  // version moved: repacked
+  const std::uint64_t allocs = AllocCount();
+  const Tensor after = conv.Forward(x, /*train=*/false);
+  EXPECT_EQ(AllocCount(), allocs + 1);
+  EXPECT_EQ(ops::internal::PackCount(), packs);
+  const Tensor want = fresh.Forward(x, /*train=*/false);
+  bool moved = false;
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    moved = moved || std::as_const(after)[i] != std::as_const(before)[i];
+    ASSERT_EQ(std::as_const(after)[i], std::as_const(want)[i]) << i;
+  }
+  EXPECT_TRUE(moved);
+}
+
+TEST(AllocFree, Conv2dTrainStepAllocatesOnlyItsTensors) {
+  // A warm training forward + backward allocates exactly the tensors it
+  // hands across the Module API — the output, the cached-input copy, dx —
+  // in both ParamGrads modes, and the per-thread conv arena stops growing
+  // after the first step. Runs nested inside a parallel region, so the
+  // layer's own ParallelFor goes serial and every sample, dW panel and
+  // shared operand lands in the arena measured here.
+  Rng rng(17);
+  nn::Conv2d conv(8, 16, /*kernel=*/3, /*stride=*/1, /*padding=*/1, rng);
+  const Tensor x = RandomTensor({4, 8, 12, 12}, 18);
+  const Tensor grad = RandomTensor({4, 16, 12, 12}, 19);
+  ParallelForCoarse(
+      0, 2,
+      [&](std::size_t index) {
+        if (index != 0) return;
+        for (const nn::ParamGrads mode :
+             {nn::ParamGrads::kAccumulate, nn::ParamGrads::kSkip}) {
+          auto step = [&] {
+            (void)conv.Forward(x, /*train=*/true);
+            (void)conv.Backward(grad, mode);
+          };
+          step();  // warm-up
+          const std::size_t arena = nn::internal::ConvArenaBytes();
+          const std::uint64_t allocs = AllocCount();
+          constexpr std::uint64_t kSteps = 5;
+          for (std::uint64_t i = 0; i < kSteps; ++i) step();
+          EXPECT_EQ(AllocCount() - allocs, 3 * kSteps);
+          EXPECT_EQ(nn::internal::ConvArenaBytes(), arena);
+          EXPECT_GT(arena, 0u);
+        }
+      },
+      /*max_threads=*/2);
 }
 
 TEST(AllocFree, LinearSteadyStateAllocatesOnlyTheOutput) {

@@ -1,18 +1,23 @@
-// Parity oracle for the convolution: nn::Conv2d's im2col/GEMM implementation
-// must agree with the direct-loop reference in tests/reference_conv.h
-// (forward, dX, dW, db) within 1e-5 across stride/padding/kernel edge cases,
-// and every Matmul variant must match a double-precision triple-loop
-// reference. Runs under the asan/ubsan/tsan presets like every other test,
-// so the blocked kernels are also checked for memory and threading bugs.
+// Parity oracles for the convolution: nn::Conv2d's implicit GEMM must agree
+// with the direct-loop reference in tests/reference_conv.h (forward, dX, dW,
+// db) within 1e-5 across stride/padding/kernel edge cases, and bit for bit
+// with the lowered im2col/GEMM composition in tests/lowered_conv.h; every
+// Matmul variant must match a double-precision triple-loop reference. Runs
+// under the asan/ubsan/tsan presets like every other test, so the blocked
+// kernels are also checked for memory and threading bugs.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/cpu_features.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "nn/conv2d.h"
+#include "lowered_conv.h"
 #include "reference_conv.h"
 #include "tensor/gemm_kernels.h"
 #include "tensor/ops.h"
@@ -20,6 +25,8 @@
 namespace cip {
 namespace {
 
+using testing::LoweredConvBackward;
+using testing::LoweredConvForward;
 using testing::ReferenceConvBackward;
 using testing::ReferenceConvForward;
 
@@ -102,9 +109,9 @@ TEST(ConvParity, ForwardBackwardAgreeAcrossShapes) {
 }
 
 // The dual-channel model runs forward(ch1), forward(ch2), backward(ch2),
-// backward(ch1) on one shared backbone. The GEMM path recomputes its
-// lowering scratch in Backward, so the second (stale-scratch) backward must
-// still match the reference.
+// backward(ch1) on one shared backbone. Backward must work from the popped
+// input alone, never from whatever the last forward left in scratch, so the
+// second backward must still match the reference.
 TEST(ConvParity, DoubleForwardLifoBackwardMatchesNaive) {
   Rng rng(11);
   nn::Conv2d conv(3, 4, 3, 1, 1, rng, "conv");
@@ -281,6 +288,99 @@ TEST(ConvParity, ForwardBackwardAgreeAcrossIsas) {
     SCOPED_TRACE(::testing::Message()
                  << "isa=" << IsaName(ops::ActiveGemmIsa()));
     for (const ConvCase& c : kIsaCases) ExpectConvMatchesReference(c, tol);
+  }
+}
+
+// ---- bitwise parity with the lowered GEMM -----------------------------------
+
+void ExpectSameBits(const Tensor& got, const Tensor& want, const char* what) {
+  ASSERT_TRUE(got.SameShape(want)) << what << ": shape "
+                                   << ShapeToString(got.shape()) << " vs "
+                                   << ShapeToString(want.shape());
+  const float* pg = std::as_const(got).data();
+  const float* pw = std::as_const(want).data();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(pg + i, pw + i, sizeof(float)) != 0) {
+      ADD_FAILURE() << what << ": first differing bits at flat index " << i
+                    << ": " << pg[i] << " vs " << pw[i];
+      return;
+    }
+  }
+}
+
+/// A LIFO double forward (the dual-channel model's order) and its two
+/// backwards in `mode`, against the lowered oracle on the layer's weights,
+/// compared byte for byte. The first input carries +inf, -inf and NaN, and
+/// both gradients start non-zero, so accumulation onto existing values and
+/// non-finite propagation are pinned too.
+void ExpectConvMatchesLoweredBitwise(const ConvCase& c, nn::ParamGrads mode) {
+  SCOPED_TRACE(::testing::Message()
+               << "n=" << c.n << " ic=" << c.ic << " oc=" << c.oc
+               << " k=" << c.k << " s=" << c.stride << " p=" << c.pad
+               << " h=" << c.h << " w=" << c.w << " mode="
+               << (mode == nn::ParamGrads::kAccumulate ? "accumulate"
+                                                       : "skip"));
+  Rng rng(42);
+  nn::Conv2d conv(c.ic, c.oc, c.k, c.stride, c.pad, rng, "conv");
+  nn::Parameter& wp = *conv.Parameters()[0];
+  nn::Parameter& bp = *conv.Parameters()[1];
+  wp.grad = RandomTensor(wp.value.shape(), 5);
+  bp.grad = RandomTensor(bp.value.shape(), 6);
+  Tensor dw_ref = wp.grad, db_ref = bp.grad;
+
+  Tensor x1 = RandomTensor({c.n, c.ic, c.h, c.w}, 7);
+  x1[0] = std::numeric_limits<float>::infinity();
+  x1[x1.size() / 2] = -std::numeric_limits<float>::infinity();
+  x1[x1.size() - 1] = std::numeric_limits<float>::quiet_NaN();
+  const Tensor x2 = RandomTensor({c.n, c.ic, c.h, c.w}, 9);
+  const std::size_t oh = conv.OutExtent(c.h), ow = conv.OutExtent(c.w);
+  const Tensor g1 = RandomTensor({c.n, c.oc, oh, ow}, 8);
+  const Tensor g2 = RandomTensor({c.n, c.oc, oh, ow}, 10);
+
+  const Tensor y1 = conv.Forward(x1, /*train=*/true);
+  const Tensor y2 = conv.Forward(x2, /*train=*/true);
+  const Tensor dx2 = conv.Backward(g2, mode);
+  const Tensor dx1 = conv.Backward(g1, mode);
+
+  const bool param_grads = mode == nn::ParamGrads::kAccumulate;
+  const Tensor& w = wp.value;
+  const Tensor& b = bp.value;
+  ExpectSameBits(y1, LoweredConvForward(x1, w, b, c.k, c.stride, c.pad), "y1");
+  ExpectSameBits(y2, LoweredConvForward(x2, w, b, c.k, c.stride, c.pad), "y2");
+  ExpectSameBits(dx2,
+                 LoweredConvBackward(x2, w, g2, c.k, c.stride, c.pad,
+                                     param_grads, dw_ref, db_ref),
+                 "dx2");
+  ExpectSameBits(dx1,
+                 LoweredConvBackward(x1, w, g1, c.k, c.stride, c.pad,
+                                     param_grads, dw_ref, db_ref),
+                 "dx1");
+  ExpectSameBits(wp.grad, dw_ref, "dW");
+  ExpectSameBits(bp.grad, db_ref, "db");
+}
+
+TEST(ConvParity, BitwiseMatchesLoweredGemm) {
+  // Both GEMM regimes must be covered: the blocked FMA kernel and, below
+  // UsesBlockedGemm's threshold (decided on the whole batch), the streaming
+  // multiply-add loops.
+  std::size_t blocked = 0, streaming = 0;
+  for (const ConvCase& c : kConvCases) {
+    const std::size_t oh = (c.h + 2 * c.pad - c.k) / c.stride + 1;
+    const std::size_t ow = (c.w + 2 * c.pad - c.k) / c.stride + 1;
+    const bool uses_blocked = ops::internal::UsesBlockedGemm(
+        c.n * oh * ow, c.ic * c.k * c.k, c.oc);
+    ++(uses_blocked ? blocked : streaming);
+  }
+  EXPECT_GT(blocked, 0u);
+  EXPECT_GT(streaming, 0u);
+  for (const IsaRequest req : UsableRequests()) {
+    IsaGuard isa_guard(req);
+    SCOPED_TRACE(::testing::Message()
+                 << "isa=" << IsaName(ops::ActiveGemmIsa()));
+    for (const ConvCase& c : kConvCases) {
+      ExpectConvMatchesLoweredBitwise(c, nn::ParamGrads::kAccumulate);
+      ExpectConvMatchesLoweredBitwise(c, nn::ParamGrads::kSkip);
+    }
   }
 }
 

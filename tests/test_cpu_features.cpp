@@ -280,7 +280,8 @@ TEST(GemmIsa, PackedBRecordsIsaAndRejectsStaleLayout) {
 }
 
 TEST(GemmIsa, LinearAndConvCachesRepackAfterIsaChange) {
-  // Layer weight caches key on isa() as well as Tensor::version(); flipping
+  // Linear's weight cache keys on isa() as well as Tensor::version(), and
+  // Conv2d packs its panels per call at the bound kernel's width; flipping
   // the bound kernel mid-process must transparently repack, and the outputs
   // must agree within the pinned tolerance.
   Rng rng_a(77), rng_b(77), rng_c(77), rng_d(77);

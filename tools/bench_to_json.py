@@ -51,10 +51,13 @@ SPEEDUP_GATES = [
 # Absolute throughput floors in GMAC/s, enforced only when the run bound a
 # SIMD kernel (host.isa != "portable"): 21.1 is 3x the last portable-kernel
 # BM_Matmul/256 single-thread baseline (7.039 GMAC/s), the acceptance floor
-# for the ISA-dispatched microkernels. Portable-forced runs skip these —
-# the portable kernel is the 1x reference, not the thing being gated.
+# for the ISA-dispatched microkernels; 9.0 is 2x the im2col-lowered
+# BM_Conv2dForward single-thread baseline (4.5 GMAC/s), the floor for the
+# implicit-GEMM convolution. Portable-forced runs skip these — the portable
+# kernel is the 1x reference, not the thing being gated.
 SIMD_GMACS_GATES = [
     ("BM_Matmul/256", "threads=1", 21.1),
+    ("BM_Conv2dForward", "threads=1", 9.0),
 ]
 
 # Acceptance gates for the committed BENCH_scale.json baseline
