@@ -9,7 +9,7 @@ namespace cip::core {
 
 CipClient::CipClient(const nn::ModelSpec& spec, data::Dataset local_data,
                      CipConfig cfg, std::uint64_t seed)
-    : model_(nn::MakeDualChannelClassifier(spec)),
+    : model_(nn::MakeDualChannelClassifierDeferred(spec)),
       data_(std::move(local_data)),
       cfg_(std::move(cfg)),
       opt_(cfg_.train.lr, cfg_.train.momentum, cfg_.train.weight_decay,
@@ -29,8 +29,7 @@ CipClient::CipClient(const nn::ModelSpec& spec, data::Dataset local_data,
 }
 
 void CipClient::SetGlobal(const fl::ModelState& global) {
-  const std::vector<nn::Parameter*> params = model_->Parameters();
-  global.ApplyTo(params);
+  global.ApplyTo(model_->ParametersForOverwrite());
 }
 
 fl::ModelState CipClient::TrainLocal(fl::RoundContext ctx) {

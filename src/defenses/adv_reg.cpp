@@ -22,7 +22,7 @@ std::unique_ptr<nn::Sequential> BuildAttacker(std::size_t num_classes,
 ArClient::ArClient(const nn::ModelSpec& spec, data::Dataset local_data,
                    data::Dataset reference, fl::TrainConfig train_cfg,
                    ArConfig ar_cfg, std::uint64_t seed)
-    : model_(nn::MakeClassifier(spec)),
+    : model_(nn::MakeClassifierDeferred(spec)),
       data_(std::move(local_data)),
       reference_(std::move(reference)),
       cfg_(train_cfg),
@@ -38,8 +38,7 @@ ArClient::ArClient(const nn::ModelSpec& spec, data::Dataset local_data,
 }
 
 void ArClient::SetGlobal(const fl::ModelState& global) {
-  const std::vector<nn::Parameter*> params = model_->Parameters();
-  global.ApplyTo(params);
+  global.ApplyTo(model_->ParametersForOverwrite());
 }
 
 Tensor ArClient::AttackInput(const Tensor& probs,

@@ -20,7 +20,7 @@ float NoiseMultiplier(const DpConfig& cfg) {
 DpSgdClient::DpSgdClient(const nn::ModelSpec& spec, data::Dataset local_data,
                          fl::TrainConfig train_cfg, DpConfig dp_cfg,
                          std::uint64_t /*seed*/)
-    : model_(nn::MakeClassifier(spec)),
+    : model_(nn::MakeClassifierDeferred(spec)),
       data_(std::move(local_data)),
       cfg_(train_cfg),
       dp_(dp_cfg),
@@ -30,8 +30,7 @@ DpSgdClient::DpSgdClient(const nn::ModelSpec& spec, data::Dataset local_data,
 }
 
 void DpSgdClient::SetGlobal(const fl::ModelState& global) {
-  const std::vector<nn::Parameter*> params = model_->Parameters();
-  global.ApplyTo(params);
+  global.ApplyTo(model_->ParametersForOverwrite());
 }
 
 fl::ModelState DpSgdClient::TrainLocal(fl::RoundContext ctx) {

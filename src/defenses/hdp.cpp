@@ -13,18 +13,18 @@ namespace cip::defenses {
 
 namespace {
 
-/// Frozen generic feature model: flatten → random Linear(d→F) → ReLU → head.
-std::unique_ptr<nn::Classifier> MakeRandomFeatureModel(
+/// Frozen generic feature model: flatten → random Linear(d→F) → ReLU → head,
+/// its init drawn from spec.seed at first use (nn::Classifier).
+std::unique_ptr<nn::Classifier> MakeRandomFeatureModelDeferred(
     const nn::ModelSpec& spec, std::size_t feature_boost) {
-  Rng init(spec.seed);
   const std::size_t d = NumElements(spec.input_shape);
   const std::size_t features = std::max<std::size_t>(feature_boost * spec.width, 16);
   auto backbone = std::make_unique<nn::Sequential>("hdp.features");
   backbone->Add(std::make_unique<nn::Flatten>())
-      .Add(std::make_unique<nn::Linear>(d, features, init, "hdp.proj"))
+      .Add(std::make_unique<nn::Linear>(d, features, "hdp.proj"))
       .Add(std::make_unique<nn::ReLU>());
   return std::make_unique<nn::Classifier>(std::move(backbone), features,
-                                          spec.num_classes, init);
+                                          spec.num_classes, spec.seed);
 }
 
 }  // namespace
@@ -32,7 +32,7 @@ std::unique_ptr<nn::Classifier> MakeRandomFeatureModel(
 HdpClient::HdpClient(const nn::ModelSpec& spec, data::Dataset local_data,
                      fl::TrainConfig train_cfg, DpConfig dp_cfg,
                      std::uint64_t /*seed*/, std::size_t feature_boost)
-    : model_(MakeRandomFeatureModel(spec, feature_boost)),
+    : model_(MakeRandomFeatureModelDeferred(spec, feature_boost)),
       data_(std::move(local_data)),
       cfg_(train_cfg),
       dp_(dp_cfg),
@@ -48,8 +48,7 @@ std::vector<nn::Parameter*> HdpClient::HeadParams() {
 }
 
 void HdpClient::SetGlobal(const fl::ModelState& global) {
-  const std::vector<nn::Parameter*> params = model_->Parameters();
-  global.ApplyTo(params);
+  global.ApplyTo(model_->ParametersForOverwrite());
 }
 
 fl::ModelState HdpClient::TrainLocal(fl::RoundContext ctx) {
@@ -116,14 +115,16 @@ double HdpClient::EvalAccuracy(const data::Dataset& data) {
 
 fl::ModelState HdpClient::InitialState(const nn::ModelSpec& spec,
                                        std::size_t feature_boost) {
-  const auto model = MakeRandomFeatureModel(spec, feature_boost);
+  const auto model = MakeModel(spec, feature_boost);
   const std::vector<nn::Parameter*> params = model->Parameters();
   return fl::ModelState::From(params);
 }
 
 std::unique_ptr<nn::Classifier> HdpClient::MakeModel(
     const nn::ModelSpec& spec, std::size_t feature_boost) {
-  return MakeRandomFeatureModel(spec, feature_boost);
+  auto model = MakeRandomFeatureModelDeferred(spec, feature_boost);
+  model->Parameters();  // draws the init now
+  return model;
 }
 
 }  // namespace cip::defenses

@@ -11,7 +11,7 @@ MixupMmdClient::MixupMmdClient(const nn::ModelSpec& spec,
                                data::Dataset validation,
                                fl::TrainConfig train_cfg, MmConfig mm_cfg,
                                std::uint64_t /*seed*/)
-    : model_(nn::MakeClassifier(spec)),
+    : model_(nn::MakeClassifierDeferred(spec)),
       data_(std::move(local_data)),
       validation_(std::move(validation)),
       cfg_(train_cfg),
@@ -23,8 +23,7 @@ MixupMmdClient::MixupMmdClient(const nn::ModelSpec& spec,
 }
 
 void MixupMmdClient::SetGlobal(const fl::ModelState& global) {
-  const std::vector<nn::Parameter*> params = model_->Parameters();
-  global.ApplyTo(params);
+  global.ApplyTo(model_->ParametersForOverwrite());
 }
 
 float MixupMmdClient::TrainEpochMixupMmd(Rng& rng) {

@@ -8,7 +8,7 @@ RelaxLossClient::RelaxLossClient(const nn::ModelSpec& spec,
                                  data::Dataset local_data,
                                  fl::TrainConfig train_cfg, RlConfig rl_cfg,
                                  std::uint64_t /*seed*/)
-    : model_(nn::MakeClassifier(spec)),
+    : model_(nn::MakeClassifierDeferred(spec)),
       data_(std::move(local_data)),
       cfg_(train_cfg),
       rl_(rl_cfg),
@@ -19,8 +19,7 @@ RelaxLossClient::RelaxLossClient(const nn::ModelSpec& spec,
 }
 
 void RelaxLossClient::SetGlobal(const fl::ModelState& global) {
-  const std::vector<nn::Parameter*> params = model_->Parameters();
-  global.ApplyTo(params);
+  global.ApplyTo(model_->ParametersForOverwrite());
 }
 
 float RelaxLossClient::RelaxEpoch(Rng& rng) {

@@ -11,7 +11,7 @@ void ClientBase::RestoreState(const ClientState& state) {
 
 LegacyClient::LegacyClient(const nn::ModelSpec& spec, data::Dataset local_data,
                            TrainConfig train_cfg, std::uint64_t /*seed*/)
-    : model_(nn::MakeClassifier(spec)),
+    : model_(nn::MakeClassifierDeferred(spec)),
       data_(std::move(local_data)),
       cfg_(train_cfg),
       opt_(train_cfg.lr, train_cfg.momentum, train_cfg.weight_decay,
@@ -20,8 +20,7 @@ LegacyClient::LegacyClient(const nn::ModelSpec& spec, data::Dataset local_data,
 }
 
 void LegacyClient::SetGlobal(const ModelState& global) {
-  const std::vector<nn::Parameter*> params = model_->Parameters();
-  global.ApplyTo(params);
+  global.ApplyTo(model_->ParametersForOverwrite());
 }
 
 ModelState LegacyClient::TrainLocal(RoundContext ctx) {

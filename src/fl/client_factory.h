@@ -78,8 +78,9 @@ ClientStore MakeClientStore(std::vector<ClientSpec> specs,
 /// MakeClient(spec_for(k)), so a million-client fleet never holds a million
 /// specs (or datasets) at once — spec_for typically derives the client's
 /// data partition from an id-seeded generator. spec_for must be pure: the
-/// same id must always yield the same spec, and it must be safe to call
-/// from the coordinator at any round.
+/// same id must always yield the same spec. It is called concurrently for
+/// distinct ids from the round engine's client phase (ClientStore::Factory),
+/// so it must read shared state only and keep any RNG local.
 ClientStore MakeClientStore(std::size_t num_clients,
                             std::function<ClientSpec(std::size_t)> spec_for,
                             StoreOptions opts = {});

@@ -108,11 +108,33 @@ ClientBase* ClientStore::Add(std::unique_ptr<ClientBase> client) {
 
 std::size_t ClientStore::num_clients() const { return num_clients_; }
 
-// CIP_HOT
-ClientStore::Handle ClientStore::Materialize(std::size_t id) {
+void ClientStore::CheckId(std::size_t id) const {
   CIP_CHECK_MSG(id < num_clients_, "client id " << id
                                        << " out of range for fleet of "
                                        << num_clients_);
+}
+
+// CIP_HOT
+std::string ClientStore::Checkout(std::size_t id) {
+  CheckId(id);
+  if (mode_ != Mode::kCold) return {};
+  if (hot_.contains(id)) {
+    ++stats_.hot_hits;
+    return EraseRecord(id);  // ownership moves to the caller (bumps version)
+  }
+  if (!spilled_.contains(id)) return {};
+  // Read strictly before dropping the record: a corrupt shard throws with
+  // the store unchanged.
+  std::string record = ReadShardRecord(id);
+  ++stats_.cold_loads;
+  EraseRecord(id);
+  return record;
+}
+
+// CIP_HOT
+ClientStore::Handle ClientStore::Build(std::size_t id,
+                                       const std::string& record) const {
+  CheckId(id);
   Handle h;
   if (mode_ != Mode::kCold) {
     h.ptr_ = clients_[id];
@@ -122,38 +144,48 @@ ClientStore::Handle ClientStore::Materialize(std::size_t id) {
   CIP_CHECK_MSG(h.owned_ != nullptr,
                 "client factory returned null for id " << id);
   h.ptr_ = h.owned_.get();
-  // Restore strictly before dropping the record: if the blob or shard is
-  // corrupt, the decode throws with the store unchanged — a failed load must
-  // not silently turn a stateful client into a fresh one on retry.
-  if (auto hot_it = hot_.find(id); hot_it != hot_.end()) {
-    h.ptr_->RestoreState(DecodeClientRecord(hot_it->second, id));
-    ++stats_.hot_hits;
-    EraseRecord(id);  // state ownership moves to the handle (bumps version)
-  } else if (spilled_.contains(id)) {
-    h.ptr_->RestoreState(DecodeClientRecord(ReadShardRecord(id), id));
-    ++stats_.cold_loads;
-    EraseRecord(id);
-  }
-  // No record: a client that never participated materializes fresh from the
+  // No record: a client that never participated builds fresh from the
   // factory alone.
+  if (!record.empty()) h.ptr_->RestoreState(DecodeClientRecord(record, id));
   return h;
 }
 
 // CIP_HOT
-void ClientStore::Evict(std::size_t id, const ClientBase& client) {
-  if (mode_ != Mode::kCold) return;  // persistent objects keep their state
-  CIP_CHECK_MSG(id < num_clients_, "client id " << id
-                                       << " out of range for fleet of "
-                                       << num_clients_);
+std::string ClientStore::Export(std::size_t id,
+                                const ClientBase& client) const {
+  CheckId(id);
+  if (mode_ != Mode::kCold) return {};  // persistent objects keep their state
   const ClientState state = client.ExportState();
-  if (state.tensors.empty()) {
-    // Stateless clients re-materialize fresh; keep no record for them so the
-    // store stays O(stateful participants), not O(sampled-ever).
+  // Stateless clients rebuild fresh; keep no record for them so the store
+  // stays O(stateful participants), not O(sampled-ever).
+  if (state.tensors.empty()) return {};
+  return EncodeClientRecord(id, state);
+}
+
+// CIP_HOT
+void ClientStore::Checkin(std::size_t id, std::string record) {
+  CheckId(id);
+  if (mode_ != Mode::kCold) return;
+  if (record.empty()) {
     EraseRecord(id);
     return;
   }
   ++stats_.evictions;
-  InsertRecord(id, EncodeClientRecord(id, state));
+  InsertRecord(id, std::move(record));
+}
+
+ClientStore::Handle ClientStore::Materialize(std::size_t id) {
+  std::string record = Checkout(id);
+  try {
+    return Build(id, record);
+  } catch (...) {
+    if (!record.empty()) InsertRecord(id, std::move(record));
+    throw;
+  }
+}
+
+void ClientStore::Evict(std::size_t id, const ClientBase& client) {
+  Checkin(id, Export(id, client));
 }
 
 std::vector<std::pair<std::uint64_t, ClientState>> ClientStore::ExportStates()
@@ -234,9 +266,7 @@ void ClientStore::BroadcastFinal(const ModelState& global) {
 }
 
 bool ClientStore::PeekState(std::size_t id, ClientState& out) const {
-  CIP_CHECK_MSG(id < num_clients_, "client id " << id
-                                       << " out of range for fleet of "
-                                       << num_clients_);
+  CheckId(id);
   if (mode_ != Mode::kCold) {
     out = clients_[id]->ExportState();
     return !out.tensors.empty();
@@ -271,13 +301,15 @@ void ClientStore::InsertRecord(std::size_t id, std::string blob) {
   SpillOverBudget();
 }
 
-void ClientStore::EraseRecord(std::size_t id) {
+std::string ClientStore::EraseRecord(std::size_t id) {
+  std::string blob;
   bool erased = false;
   if (auto it = hot_.find(id); it != hot_.end()) {
     stats_.hot_bytes -= it->second.size();
     --stats_.hot_records;
     lru_.erase(lru_pos_.at(id));
     lru_pos_.erase(id);
+    blob = std::move(it->second);
     hot_.erase(it);
     erased = true;
   }
@@ -286,6 +318,7 @@ void ClientStore::EraseRecord(std::size_t id) {
     erased = true;
   }
   if (erased) ++state_versions_[id];
+  return blob;
 }
 
 void ClientStore::SpillOverBudget() {

@@ -7,10 +7,11 @@
 // factory that can construct client id k, plus k's serialized cross-round
 // state (optimizer moments, the CIP secret perturbation t) from the PR 4
 // ExportState/RestoreState contract — and only the round's sampled cohort is
-// ever materialized into live objects. Between participations a client is a
-// byte blob in an LRU hot set with a configurable byte budget, spilling to
-// fixed-slot shard files under StoreOptions::spill_dir; server memory is
-// O(hot budget + sampled cohort), never O(registered fleet).
+// ever built into live objects, each on the runner that trains it and only
+// for as long as it trains. Between participations a client is a byte blob
+// in an LRU hot set with a configurable byte budget, spilling to fixed-slot
+// shard files under StoreOptions::spill_dir; server memory is O(hot budget +
+// cohort records + runners × one client), never O(registered fleet).
 //
 // Determinism contract: a record is the exact bytes of the client's
 // ExportState, and RestoreState on a freshly constructed client of the same
@@ -63,9 +64,9 @@ struct StoreOptions {
 
 /// Cumulative lifecycle counters, exposed for telemetry and benchmarks.
 struct StoreStats {
-  std::size_t hot_hits = 0;      ///< materializations served from the hot set
-  std::size_t cold_loads = 0;    ///< materializations read from a shard file
-  std::size_t evictions = 0;     ///< trained clients re-serialized to records
+  std::size_t hot_hits = 0;      ///< checkouts served from the hot set
+  std::size_t cold_loads = 0;    ///< checkouts read from a shard file
+  std::size_t evictions = 0;     ///< non-empty records checked back in
   std::size_t spills = 0;        ///< records pushed from hot set to shards
   std::size_t hot_bytes = 0;     ///< serialized bytes currently resident
   std::size_t hot_records = 0;   ///< records currently in the hot set
@@ -85,12 +86,15 @@ ClientState DecodeClientRecord(const std::string& blob,
 class ClientStore {
  public:
   /// Constructs client id on demand (cold mode). Must be pure per id: the
-  /// same id always yields an identically configured client.
+  /// same id always yields an identically configured client. It is called
+  /// concurrently for distinct ids from the round engine's client phase
+  /// (Build), so it must also be safe to run on several threads at once:
+  /// read shared configuration only, keep any RNG local.
   using Factory = std::function<std::unique_ptr<ClientBase>(std::size_t)>;
 
-  /// A materialized client. Owns the object in cold mode (destroyed when the
-  /// handle dies — pair every cold Materialize with an Evict first if the
-  /// state must survive); borrows it in live/borrowed mode.
+  /// A built client. Owns the object in cold mode (destroyed when the handle
+  /// dies — export and check its record in first if the state must
+  /// survive); borrows it in live/borrowed mode.
   class Handle {
    public:
     Handle() = default;
@@ -135,16 +139,50 @@ class ClientStore {
   /// True for a cold store (records + factory; clients are ephemeral).
   bool cold() const { return mode_ == Mode::kCold; }
 
-  /// Produce the live client for `id`. Cold mode constructs it through the
-  /// factory and restores its record (hot set first, then shards); live and
-  /// borrowed modes return the persistent object. Coordinator-only: call
-  /// serially outside parallel regions.
+  // A client's round trip through the store is four steps. Checkout and
+  // Checkin change the store and are coordinator-only: call them serially,
+  // outside parallel regions. Build and Export touch no store state and may
+  // run concurrently for distinct ids (the round engine runs them on the
+  // client phase's runners).
+  //
+  //   record = Checkout(id)          coordinator
+  //   handle = Build(id, record)     any thread
+  //   ... SetGlobal, TrainLocal ...
+  //   record = Export(id, *handle)   any thread; then drop the handle
+  //   Checkin(id, record)            coordinator, ascending id order
+
+  /// Take `id`'s record out of the store: the hot blob or the shard slot's
+  /// bytes, counted as a hot hit or a cold load, or an empty string when the
+  /// client has no record (never participated, or stateless). Ownership of
+  /// the state moves to the caller (the record's state_version moves). A
+  /// shard that fails validation throws with the store unchanged. Live and
+  /// borrowed modes return an empty string and count nothing.
+  std::string Checkout(std::size_t id);
+
+  /// The client for `id`. Cold mode constructs it through the factory and
+  /// restores `record` when it is non-empty; live and borrowed modes return
+  /// the persistent object and ignore `record`. Thread-safe for distinct ids.
+  Handle Build(std::size_t id, const std::string& record) const;
+
+  /// What the store files for a trained `client`: its ExportState encoded as
+  /// `id`'s record in cold mode (empty for a stateless client), nothing in
+  /// live and borrowed modes, whose objects persist. Thread-safe.
+  std::string Export(std::size_t id, const ClientBase& client) const;
+
+  /// File an exported record (cold mode; no-op in live/borrowed modes). A
+  /// non-empty record counts an eviction, enters the hot set as the most
+  /// recent entry and spills least-recently-used records until the budget
+  /// holds; an empty one leaves `id` without a record, so a stateless client
+  /// rebuilds fresh. Coordinator-only.
+  void Checkin(std::size_t id, std::string record);
+
+  /// Build(id, Checkout(id)), for callers outside a round. A cold build that
+  /// throws (a corrupt record) puts the record back, so a failed load never
+  /// turns a stateful client into a fresh one on retry. Coordinator-only.
   Handle Materialize(std::size_t id);
 
-  /// Re-serialize a trained client's state back into the store (cold mode;
-  /// no-op in live/borrowed modes, whose objects persist). An empty
-  /// ExportState erases the record — a stateless client rematerializes
-  /// fresh. Coordinator-only, like Materialize.
+  /// Checkin(id, Export(id, client)): re-serialize a trained client's state
+  /// back into the store. Coordinator-only.
   void Evict(std::size_t id, const ClientBase& client);
 
   /// Sparse (id, state) snapshot of every stateful client, sorted by id —
@@ -159,12 +197,11 @@ class ClientStore {
   /// or shard slot; live/borrowed modes export from the live object.
   /// Returns false when the client has no state (never participated, or its
   /// last ExportState was empty). This is the serving t-cache's read path —
-  /// Materialize would move the record's ownership into the handle and
-  /// destroy it with the handle.
+  /// Checkout would move the record's ownership out of the store.
   bool PeekState(std::size_t id, ClientState& out) const;
 
   /// Monotonic per-id counter that moves every time `id`'s stored record
-  /// changes (Evict re-serialization, Materialize's ownership transfer out
+  /// changes (Checkin re-serialization, Checkout's ownership transfer out
   /// of the store, checkpoint restore). Cache keys derived from PeekState
   /// stay valid exactly while this value is unchanged. Cold mode only:
   /// live/borrowed stores mutate their objects in place, so their consumers
@@ -189,8 +226,10 @@ class ClientStore {
  private:
   enum class Mode { kCold, kLive, kBorrowed };
 
+  void CheckId(std::size_t id) const;
   void InsertRecord(std::size_t id, std::string blob);
-  void EraseRecord(std::size_t id);
+  /// Drop `id`'s record; returns its blob if it was resident (else empty).
+  std::string EraseRecord(std::size_t id);
   void SpillOverBudget();
   std::string ShardPath(std::size_t shard) const;
   void WriteShardRecord(std::size_t id, const std::string& blob);

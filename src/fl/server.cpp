@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -139,12 +140,12 @@ FlLog FederatedAveraging::RunRounds(ClientStore& store, std::uint64_t run_seed,
       if (merged) std::sort(participants.begin(), participants.end());
     }
 
-    // --- Coordinator: fault decisions and cohort materialization, serial
-    // (the store is coordinator-only). A dropout went offline before it
-    // could download the global, so it is never materialized; everyone else
-    // becomes a live client for the duration of the round.
+    // --- Coordinator: fault decisions and record checkout, serial (the
+    // store's bookkeeping is coordinator-only). A dropout went offline
+    // before it could download the global, so its record stays filed;
+    // everyone else's record leaves the store for the duration of the round.
     const std::size_t m = participants.size();
-    std::vector<ClientStore::Handle> cohort(m);
+    std::vector<std::string> records(m);
     stats.clients.resize(m);
     for (std::size_t i = 0; i < m; ++i) {
       const std::size_t k = participants[i];
@@ -160,16 +161,19 @@ FlLog FederatedAveraging::RunRounds(ClientStore& store, std::uint64_t run_seed,
         cs.dropped = true;
         continue;
       }
-      cohort[i] = store.Materialize(k);
+      records[i] = store.Checkout(k);
     }
     stats.broadcast_seconds = SecondsSince(broadcast_t0);
 
     // --- Parallel client phase, dispatched onto the persistent worker pool.
-    // Each worker touches only its own materialized client, its own
-    // updates/stats slot, and its own losses element; the RNG stream in
-    // each context is derived from (run_seed, round, client id), so the
-    // result is independent of how — or on which dispatch backend — workers
-    // are scheduled.
+    // Each cohort member lives out its round on one runner: built from its
+    // record, trained, exported back into its records slot and destroyed
+    // (a live or borrowed store lends its persistent object instead), so at
+    // most one client per runner is alive. Each runner touches only its own
+    // client, its own records/updates/stats slot and its own losses element;
+    // the RNG stream in each context is derived from (run_seed, round,
+    // client id), so the result is independent of how — or on which
+    // dispatch backend — workers are scheduled.
     const float lr_scale =
         LrScaleForRound(options_.lr_decay, options_.lr_decay_every, round);
     std::vector<ModelState> updates(m);
@@ -179,10 +183,10 @@ FlLog FederatedAveraging::RunRounds(ClientStore& store, std::uint64_t run_seed,
     ParallelForCoarse(
         0, m,
         [&](std::size_t i) {
-          ClientBase* client = cohort[i].get();
-          if (client == nullptr) return;  // dropout: never materialized
-          const std::size_t k = participants[i];
           ClientRoundStats& cs = stats.clients[i];
+          if (cs.fault == FaultKind::kDropout) return;
+          const std::size_t k = participants[i];
+          ClientStore::Handle client = store.Build(k, records[i]);
           RoundContext ctx = MakeRoundContext(run_seed, round, k, lr_scale);
           ctx.telemetry = &cs;
           // CIP_ANALYZE_OK(det-wallclock): telemetry: per-client train duration recorded in RoundStats
@@ -190,6 +194,10 @@ FlLog FederatedAveraging::RunRounds(ClientStore& store, std::uint64_t run_seed,
           client->SetGlobal(broadcast);
           updates[i] = client->TrainLocal(std::move(ctx));
           cs.train_seconds = SecondsSince(client_t0);
+          // A mid-round failure is exported too: its update was lost but its
+          // private state advanced — exactly what a real device that crashed
+          // after training would carry into its next participation.
+          records[i] = store.Export(k, *client);
           if (cs.fault == FaultKind::kMidRoundFailure ||
               (cs.fault == FaultKind::kStraggler &&
                options_.round_timeout_seconds > 0.0 &&
@@ -208,15 +216,12 @@ FlLog FederatedAveraging::RunRounds(ClientStore& store, std::uint64_t run_seed,
         options_.max_parallel_clients);
     stats.train_wall_seconds = SecondsSince(train_t0);
 
-    // --- Coordinator: evict the cohort back into the store in ascending id
-    // order (participants are sorted, so index order is id order). A
-    // mid-round failure is evicted too: its update was lost but its private
-    // state advanced — exactly what a real device that crashed after
-    // training would carry into its next participation.
+    // --- Coordinator: check the exported records back into the store in
+    // ascending id order (participants are sorted, so index order is id
+    // order); the store's LRU order and spills follow this order.
     for (std::size_t i = 0; i < m; ++i) {
-      if (cohort[i]) {
-        store.Evict(participants[i], *cohort[i]);
-        cohort[i] = ClientStore::Handle();
+      if (stats.clients[i].fault != FaultKind::kDropout) {
+        store.Checkin(participants[i], std::move(records[i]));
       }
     }
 

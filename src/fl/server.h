@@ -8,30 +8,33 @@
 // Round engine: each round the coordinator thread broadcasts (and possibly
 // tampers) the global, samples the cohort (fl/sampler.h: deterministic
 // without-replacement sampling from a (run_seed, round)-derived stream),
-// merges due retries, and materializes each sampled client from the
-// ClientStore (fl/client_store.h); the cohort then trains concurrently on
-// ParallelForCoarse workers drawn from the persistent pool
-// (common/parallel.h). A client running on a pool worker is inside a
-// parallel region, so the GEMM kernels it calls run serially inline on that
-// worker — client-level parallelism is the outermost (and only) fan-out.
-// Trained clients are evicted back to the store in ascending id order, and
-// surviving updates stream through a fixed-order tree reduction
+// merges due retries, and checks each sampled client's record out of the
+// ClientStore (fl/client_store.h). The cohort then runs on ParallelForCoarse
+// workers drawn from the persistent pool (common/parallel.h): each member
+// is built from its record, receives the global, trains, is exported back
+// to a record and destroyed on one runner, so at most one client per runner
+// is alive. A client running on a pool worker is inside a parallel region,
+// so the GEMM kernels it calls run serially inline on that worker —
+// client-level parallelism is the outermost (and only) fan-out. The
+// coordinator checks the records back into the store in ascending id order,
+// and surviving updates stream through a fixed-order tree reduction
 // (fl/aggregate.h). Because every context's RNG stream is a pure function
 // of (run seed, round, client id) and every fold order is fixed, results
 // are bit-identical for any CIP_THREADS value, either dispatch backend
 // (pool or spawned threads, common/parallel.h), any hot-set byte budget,
 // and spilled-vs-resident client records. Server memory is O(hot budget +
-// sampled cohort), never O(registered fleet).
+// cohort records + runners × one client) plus the cohort's updates, never
+// O(registered fleet).
 //
 // Fault tolerance: an FlOptions::faults plan injects deterministic client
 // dropouts, mid-round failures and stragglers (fl/fault.h); the engine
 // degrades gracefully by averaging the surviving updates (FedAvg weight
 // renormalization falls out of the plain mean over survivors), skipping or
 // aborting rounds that fall below min_quorum, and retrying faulted clients
-// with bounded exponential backoff. A dropped-out client is never
-// materialized (the device went offline before downloading the global); a
-// mid-round failure trains and is evicted — its private state advanced even
-// though the update was lost. Periodic checkpoints (fl/checkpoint.h) plus
+// with bounded exponential backoff. A dropped-out client is never built
+// (the device went offline before downloading the global); a mid-round
+// failure trains and is exported — its private state advanced even though
+// the update was lost. Periodic checkpoints (fl/checkpoint.h) plus
 // Resume() make crash-at-round-k + resume bit-identical to an uninterrupted
 // run, including crashes while client records sit in shard files;
 // docs/ROBUSTNESS.md and docs/SCALE.md spell out the semantics.

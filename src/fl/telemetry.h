@@ -22,7 +22,8 @@ struct ClientRoundStats {
   std::size_t round = 0;   ///< 1-based round index
   std::size_t client = 0;  ///< index into the Run() clients span
   float loss = 0.0f;       ///< mean local training loss (LastTrainLoss)
-  double train_seconds = 0.0;  ///< SetGlobal + TrainLocal wall-clock
+  double train_seconds = 0.0;  ///< SetGlobal + TrainLocal wall-clock (not
+                               ///< the client's build or export)
   /// Defense-internal split, filled by the client when it has one (CIP:
   /// Step I perturbation / Step II model training). Zero when unused.
   double step1_seconds = 0.0;
@@ -37,16 +38,20 @@ struct ClientRoundStats {
 };
 
 /// Coordinator-side timings for one round. The three timed spans are
-/// disjoint and do not cover the whole round: evicting the trained cohort
-/// back into the ClientStore (between the client phase and the reduction)
-/// falls in no field.
+/// disjoint and do not cover the whole round: checking the exported records
+/// back into the ClientStore (between the client phase and the reduction,
+/// spills included) falls in no field.
 struct RoundStats {
   std::size_t round = 0;            ///< 1-based round index
   /// Everything before the client phase: the tamper hook, participant
   /// sampling, merging due retries, fault decisions, and ClientStore
-  /// Materialize of the cohort (including cold loads from shard files).
+  /// Checkout of the cohort's records (including cold loads from shard
+  /// files). Client construction is not in it.
   double broadcast_seconds = 0.0;
-  double train_wall_seconds = 0.0;  ///< wall-clock of the (parallel) client phase
+  /// Wall-clock of the (parallel) client phase: each member's build
+  /// (factory + RestoreState), SetGlobal, TrainLocal, export and
+  /// destruction.
+  double train_wall_seconds = 0.0;
   double aggregate_seconds = 0.0;   ///< fixed-order FedAvg reduction
   /// Updates aggregated this round (participants minus dropped clients).
   std::size_t survivors = 0;
@@ -59,10 +64,9 @@ struct RoundStats {
   /// engine, whose rounds are synchronous barriers.
   std::size_t folded_stragglers = 0;
   /// ClientStore lifecycle counters for this round (all zero for live
-  /// fleets, whose clients are never materialized or evicted): cohort
-  /// materializations served from the hot set vs read back from shard
-  /// files, trained clients re-serialized into the store, and records
-  /// pushed out to shards by the hot-set byte budget.
+  /// fleets, whose objects persist): cohort checkouts served from the hot
+  /// set vs read back from shard files, trained clients' records checked
+  /// back in, and records pushed out to shards by the hot-set byte budget.
   std::size_t store_hot_hits = 0;
   std::size_t store_cold_loads = 0;
   std::size_t store_evictions = 0;

@@ -37,15 +37,30 @@ struct Backbone {
   std::size_t feature_dim;  ///< channels (or vector width) of the output
 };
 
-/// Build the backbone only (no head). Image archs require H and W divisible
-/// by 4 (two pooling stages).
-Backbone MakeBackbone(const ModelSpec& spec, Rng& rng);
+/// Build the backbone only (no head), parameters zeroed (nn/init.h HeInit
+/// draws them). Image archs require H and W divisible by 4 (two pooling
+/// stages).
+Backbone MakeBackbone(const ModelSpec& spec);
 
-/// Legacy single-channel model: backbone + GAP + FC.
+/// Legacy single-channel model: backbone + GAP + FC, He-initialized from
+/// spec.seed.
 std::unique_ptr<Classifier> MakeClassifier(const ModelSpec& spec);
 
-/// CIP dual-channel model sharing one backbone (Fig. 3).
+/// CIP dual-channel model sharing one backbone (Fig. 3), He-initialized from
+/// spec.seed.
 std::unique_ptr<DualChannelClassifier> MakeDualChannelClassifier(
+    const ModelSpec& spec);
+
+/// MakeClassifier with the init draw deferred to the model's first use, for
+/// an owner that installs a broadcast global first (a federated client): its
+/// SetGlobal overwrites every parameter through ParametersForOverwrite, and
+/// the init is never drawn. Any other first use draws exactly what
+/// MakeClassifier draws.
+std::unique_ptr<Classifier> MakeClassifierDeferred(const ModelSpec& spec);
+
+/// MakeDualChannelClassifier with the init draw deferred, as
+/// MakeClassifierDeferred.
+std::unique_ptr<DualChannelClassifier> MakeDualChannelClassifierDeferred(
     const ModelSpec& spec);
 
 }  // namespace cip::nn

@@ -3,9 +3,10 @@
 // the dual-channel CIP model uses, with a normal-width head.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
-#include "common/rng.h"
+#include "nn/init.h"
 #include "nn/linear.h"
 #include "nn/module.h"
 #include "nn/pooling.h"
@@ -15,8 +16,12 @@ namespace cip::nn {
 class Classifier {
  public:
   /// `feature_dim` is the channel (or vector) width of the backbone output.
+  /// Every parameter starts zeroed (the backbone's too) and the He init is
+  /// drawn from Rng(init_seed) over Parameters() at the model's first use:
+  /// Forward, EvalForward or Parameters. ParametersForOverwrite drops it
+  /// instead (nn/init.h DeferredInit).
   Classifier(ModulePtr backbone, std::size_t feature_dim,
-             std::size_t num_classes, Rng& rng);
+             std::size_t num_classes, std::uint64_t init_seed);
 
   /// Logits for a batch. `train` caches activations for Backward.
   Tensor Forward(const Tensor& x, bool train);
@@ -31,7 +36,11 @@ class Classifier {
   Tensor Backward(const Tensor& dlogits);
 
   /// All trainable parameters (backbone then head), deterministic order.
+  /// Draws the deferred init first if it is still pending.
   std::vector<Parameter*> Parameters();
+  /// The same parameters for a caller that overwrites every value before any
+  /// other use (a client's SetGlobal): the deferred init is never drawn.
+  std::vector<Parameter*> ParametersForOverwrite();
   /// Total number of trainable scalars.
   std::size_t ParameterCount();
   /// Zero every parameter's gradient accumulator.
@@ -45,11 +54,15 @@ class Classifier {
   std::size_t feature_dim() const { return feature_dim_; }
 
  private:
+  std::vector<Parameter*> AllParameters();
+  void DrawPendingInit();
+
   ModulePtr backbone_;
   GlobalAvgPool gap_;
   std::size_t feature_dim_;
   std::size_t num_classes_;
   Linear head_;
+  DeferredInit init_;
 };
 
 }  // namespace cip::nn

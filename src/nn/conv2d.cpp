@@ -55,20 +55,28 @@ void PanelGemm(const ops::GemmKernel& kernel, bool blocked, const float* a,
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel, std::size_t stride, std::size_t padding,
-               Rng& rng, std::string name)
+               std::string name)
     : ic_(in_channels),
       oc_(out_channels),
       k_(kernel),
       stride_(stride),
       pad_(padding),
       name_(std::move(name)),
-      w_(name_ + ".w", Tensor({out_channels, in_channels * kernel * kernel})),
+      w_(name_ + ".w", Tensor({out_channels, in_channels * kernel * kernel}),
+         in_channels * kernel * kernel),
       b_(name_ + ".b", Tensor({out_channels})) {
   CIP_CHECK_GT(ic_, 0u);
   CIP_CHECK_GT(oc_, 0u);
   CIP_CHECK_GT(k_, 0u);
   CIP_CHECK_GT(stride_, 0u);
-  HeNormal(w_.value, ic_ * k_ * k_, rng);
+}
+
+Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
+               std::size_t kernel, std::size_t stride, std::size_t padding,
+               Rng& rng, std::string name)
+    : Conv2d(in_channels, out_channels, kernel, stride, padding,
+             std::move(name)) {
+  HeInit(Parameters(), rng);
 }
 
 // CIP_HOT  (eval conv forward: one output allocation, per-thread scratch)

@@ -36,8 +36,13 @@ namespace cip::nn {
 
 class Conv2d : public Module {
  public:
-  /// Weight layout is [out_channels, in_channels·kernel·kernel] (He-normal
-  /// initialized), bias is [out_channels]. Requires kernel, stride >= 1.
+  /// Weight layout is [out_channels, in_channels·kernel·kernel], bias is
+  /// [out_channels], both zeroed; W's He fan-in is in_channels·kernel·kernel
+  /// (nn/init.h HeInit). Requires kernel, stride >= 1.
+  Conv2d(std::size_t in_channels, std::size_t out_channels,
+         std::size_t kernel, std::size_t stride, std::size_t padding,
+         std::string name = "conv");
+  /// The same layer with W drawn from `rng` now.
   Conv2d(std::size_t in_channels, std::size_t out_channels,
          std::size_t kernel, std::size_t stride, std::size_t padding,
          Rng& rng, std::string name = "conv");

@@ -45,17 +45,19 @@ void SplitColsInto(const Tensor& g, std::size_t da, Tensor& ga, Tensor& gb) {
 DualChannelClassifier::DualChannelClassifier(ModulePtr backbone,
                                              std::size_t feature_dim,
                                              std::size_t num_classes,
-                                             Rng& rng)
+                                             std::uint64_t init_seed)
     : backbone_(std::move(backbone)),
       feature_dim_(feature_dim),
       num_classes_(num_classes),
-      head_(2 * feature_dim, num_classes, rng, "dual_head") {
+      head_(2 * feature_dim, num_classes, "dual_head"),
+      init_(init_seed) {
   CIP_CHECK(backbone_ != nullptr);
   CIP_CHECK_GT(num_classes_, 1u);
 }
 
 Tensor DualChannelClassifier::Forward(const Tensor& x1, const Tensor& x2,
                                       bool train) {
+  DrawPendingInit();
   CIP_CHECK(x1.SameShape(x2));
   // LIFO order: channel-1 caches below channel-2 caches.
   Tensor f1 = gap_.Forward(backbone_->Forward(x1, train), train);
@@ -69,6 +71,7 @@ Tensor DualChannelClassifier::Forward(const Tensor& x1, const Tensor& x2,
 // CIP_HOT  (serve-path fused dual-channel forward: zero steady-state allocs)
 const Tensor& DualChannelClassifier::EvalForward(const Tensor& x1,
                                                  const Tensor& x2) {
+  DrawPendingInit();
   CIP_CHECK(x1.SameShape(x2));
   // The backbone and gap are SHARED between channels: running channel 2
   // overwrites the scratch the channel-1 reference points into, so the
@@ -92,21 +95,36 @@ std::pair<Tensor, Tensor> DualChannelClassifier::Backward(
   return {std::move(dx1), std::move(dx2)};
 }
 
-std::vector<Parameter*> DualChannelClassifier::Parameters() {
+std::vector<Parameter*> DualChannelClassifier::AllParameters() {
   std::vector<Parameter*> out;
   backbone_->CollectParameters(out);
   head_.CollectParameters(out);
   return out;
 }
 
+void DualChannelClassifier::DrawPendingInit() {
+  if (init_.pending()) init_.Draw(AllParameters());
+}
+
+std::vector<Parameter*> DualChannelClassifier::Parameters() {
+  std::vector<Parameter*> out = AllParameters();
+  init_.Draw(out);
+  return out;
+}
+
+std::vector<Parameter*> DualChannelClassifier::ParametersForOverwrite() {
+  init_.Drop();
+  return AllParameters();
+}
+
 std::size_t DualChannelClassifier::ParameterCount() {
   std::size_t n = 0;
-  for (const Parameter* p : Parameters()) n += p->value.size();
+  for (const Parameter* p : AllParameters()) n += p->value.size();
   return n;
 }
 
 void DualChannelClassifier::ZeroGrad() {
-  for (Parameter* p : Parameters()) p->ZeroGrad();
+  for (Parameter* p : AllParameters()) p->ZeroGrad();
 }
 
 void DualChannelClassifier::ClearCache() {

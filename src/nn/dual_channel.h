@@ -11,10 +11,11 @@
 // gradients from both channels accumulate before the optimizer step.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 
-#include "common/rng.h"
+#include "nn/init.h"
 #include "nn/linear.h"
 #include "nn/module.h"
 #include "nn/pooling.h"
@@ -23,8 +24,12 @@ namespace cip::nn {
 
 class DualChannelClassifier {
  public:
+  /// Every parameter starts zeroed (the backbone's too) and the He init is
+  /// drawn from Rng(init_seed) over Parameters() at the model's first use:
+  /// Forward, EvalForward or Parameters. ParametersForOverwrite drops it
+  /// instead (nn/init.h DeferredInit).
   DualChannelClassifier(ModulePtr backbone, std::size_t feature_dim,
-                        std::size_t num_classes, Rng& rng);
+                        std::size_t num_classes, std::uint64_t init_seed);
 
   /// Logits for a batch of blended pairs (x1 = (1-α)x+αt, x2 = (1+α)x−αt).
   Tensor Forward(const Tensor& x1, const Tensor& x2, bool train);
@@ -43,7 +48,11 @@ class DualChannelClassifier {
       const Tensor& dlogits, ParamGrads mode = ParamGrads::kAccumulate);
 
   /// All trainable parameters (shared backbone then head), deterministic order.
+  /// Draws the deferred init first if it is still pending.
   std::vector<Parameter*> Parameters();
+  /// The same parameters for a caller that overwrites every value before any
+  /// other use (a client's SetGlobal): the deferred init is never drawn.
+  std::vector<Parameter*> ParametersForOverwrite();
   /// Total number of trainable scalars (backbone counted once).
   std::size_t ParameterCount();
   /// Zero every parameter's gradient accumulator.
@@ -57,11 +66,15 @@ class DualChannelClassifier {
   std::size_t feature_dim() const { return feature_dim_; }
 
  private:
+  std::vector<Parameter*> AllParameters();
+  void DrawPendingInit();
+
   ModulePtr backbone_;
   GlobalAvgPool gap_;
   std::size_t feature_dim_;
   std::size_t num_classes_;
   Linear head_;  // input width 2 * feature_dim
+  DeferredInit init_;
 
   // Concat/split staging, reused across steps (reallocated only on
   // batch-shape change): concat_ [N, 2D] feeds the head; ga_/gb_ [N, D] are

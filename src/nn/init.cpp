@@ -1,17 +1,36 @@
 #include "nn/init.h"
 
+#include <atomic>
 #include <cmath>
 
 namespace cip::nn {
 
-void HeNormal(Tensor& w, std::size_t fan_in, Rng& rng) {
-  CIP_CHECK_GT(fan_in, 0u);
-  const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-  for (float& x : w.flat()) x = rng.Normal(0.0f, stddev);
+namespace {
+std::atomic<std::uint64_t> g_init_draws{0};
+}  // namespace
+
+void HeInit(std::span<Parameter* const> params, Rng& rng) {
+  for (Parameter* p : params) {
+    if (p->init_fan_in == 0) continue;
+    const float stddev = std::sqrt(2.0f / static_cast<float>(p->init_fan_in));
+    for (float& x : p->value.flat()) x = rng.Normal(0.0f, stddev);
+    g_init_draws.fetch_add(p->value.size(), std::memory_order_relaxed);
+  }
 }
 
-void UniformInit(Tensor& w, float bound, Rng& rng) {
-  for (float& x : w.flat()) x = rng.Uniform(-bound, bound);
+void DeferredInit::Draw(std::span<Parameter* const> params) {
+  if (!pending_) return;
+  pending_ = false;
+  Rng rng(seed_);
+  HeInit(params, rng);
 }
+
+namespace internal {
+
+std::uint64_t InitDrawCount() {
+  return g_init_draws.load(std::memory_order_relaxed);
+}
+
+}  // namespace internal
 
 }  // namespace cip::nn

@@ -7,16 +7,21 @@
 
 namespace cip::nn {
 
-Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
+Linear::Linear(std::size_t in_features, std::size_t out_features,
                std::string name)
     : in_(in_features),
       out_(out_features),
       name_(std::move(name)),
-      w_(name_ + ".w", Tensor({out_features, in_features})),
+      w_(name_ + ".w", Tensor({out_features, in_features}), in_features),
       b_(name_ + ".b", Tensor({out_features})) {
   CIP_CHECK_GT(in_, 0u);
   CIP_CHECK_GT(out_, 0u);
-  HeNormal(w_.value, in_, rng);
+}
+
+Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
+               std::string name)
+    : Linear(in_features, out_features, std::move(name)) {
+  HeInit(Parameters(), rng);
 }
 
 // CIP_HOT  (eval linear forward: one output allocation, zero scratch)

@@ -15,6 +15,10 @@ namespace cip::nn {
 
 class Linear : public Module {
  public:
+  /// Zeroed W and b; W's He fan-in is in_features (nn/init.h HeInit).
+  Linear(std::size_t in_features, std::size_t out_features,
+         std::string name = "linear");
+  /// The same layer with W drawn from `rng` now.
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
          std::string name = "linear");
 

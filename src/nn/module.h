@@ -35,9 +35,15 @@ struct Parameter {
   std::string name;
   Tensor value;
   Tensor grad;
+  /// Fan-in the He-normal init draws this parameter with (nn/init.h HeInit);
+  /// 0 for a parameter that keeps its zero start (biases).
+  std::size_t init_fan_in = 0;
 
-  Parameter(std::string n, Tensor v)
-      : name(std::move(n)), value(std::move(v)), grad(value.shape()) {}
+  Parameter(std::string n, Tensor v, std::size_t fan_in = 0)
+      : name(std::move(n)),
+        value(std::move(v)),
+        grad(value.shape()),
+        init_fan_in(fan_in) {}
 
   /// Reset the gradient accumulator to zero (value untouched).
   void ZeroGrad() { grad.Zero(); }

@@ -131,8 +131,8 @@ const Tensor& ServeEngine::LookupT(std::size_t client_id) {
   if (it != tcache_.end()) {
     TEntry& e = it->second;
     if (store_->cold() && store_->state_version(client_id) != e.version) {
-      // The stored record changed under us (Evict after training, restore,
-      // or a Materialize that moved it out) — re-read once.
+      // The stored record changed under us (checked in after training,
+      // restored, or checked out) — re-read once.
       ++stats_.t_stale;
       LoadT(client_id, e);
       e.version = store_->state_version(client_id);
@@ -169,7 +169,7 @@ void ServeEngine::LoadT(std::size_t client_id, TEntry& e) {
   // No stored state: either the client never participated (cold mode) or it
   // is stateless. A record-less cold Materialize leaves the store unchanged
   // (the factory is pure per id), so this is a safe ephemeral construction
-  // for the client's initial t.
+  // for the client's initial t; the client's model init is never drawn.
   fl::ClientStore::Handle h = store_->Materialize(client_id);
   st = h->ExportState();
   if (!st.tensors.empty()) {

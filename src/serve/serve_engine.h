@@ -7,7 +7,7 @@
 //
 //  * Per-client t lookup through a version-keyed LRU cache backed by the
 //    PR 8 ClientStore. Reads use ClientStore::PeekState (non-destructive —
-//    Materialize would move record ownership out of the store) and are
+//    Checkout would move record ownership out of the store) and are
 //    keyed on ClientStore::state_version, so a client that trains between
 //    queries is re-read exactly once (counted as `t_stale`), while the
 //    steady state is a pure map hit with zero allocations. Never-

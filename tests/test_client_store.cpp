@@ -1,9 +1,13 @@
 // ClientStore lifecycle tests: the deterministic cohort sampler, the client
-// record codec and shard files under hostile bytes, and the store-level
+// record codec and shard files under hostile bytes, the store-level
 // bit-identity invariants (hot vs cold, spill vs resident, hot-set size,
-// worker budget, deprecated span adapter).
+// worker budget, deprecated span adapter), and the in-phase lifecycle
+// (checkout/build/export/checkin against the serial store calls, at most one
+// live client per runner).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +19,7 @@
 #include "common/check.h"
 #include "data/partition.h"
 #include "fl/client_factory.h"
+#include "fl/aggregate.h"
 #include "fl/client_store.h"
 #include "fl/sampler.h"
 #include "fl/server.h"
@@ -252,6 +257,236 @@ TEST(ClientStore, StatsCountTheSpillLifecycle) {
   EXPECT_EQ(stats.hot_records, 0u);
   EXPECT_EQ(stats.hot_bytes, 0u);
   EXPECT_EQ(stats.spilled_records, 3u);  // the whole fleet lives on disk
+}
+
+// ---- the in-phase client lifecycle -----------------------------------------
+
+/// CIP clients (their secret t lives across rounds) over MakeSpecs' data.
+std::vector<fl::ClientSpec> MakeCipSpecs(std::size_t num_clients) {
+  std::vector<fl::ClientSpec> specs = MakeSpecs(num_clients);
+  for (fl::ClientSpec& spec : specs) {
+    spec.kind = fl::ClientKind::kCip;
+    spec.cip.perturb_steps = 2;
+    spec.cip.perturb_batch = 8;
+  }
+  return specs;
+}
+
+/// Bytes of one trained CIP client's record (its t plus its momentum).
+std::size_t TrainedCipRecordBytes() {
+  const fl::ClientSpec spec = MakeCipSpecs(1)[0];
+  const auto client = fl::MakeClient(spec);
+  client->SetGlobal(fl::InitialStateFor(spec));
+  client->TrainLocal(fl::MakeRoundContext(1, 1, 0));
+  return fl::EncodeClientRecord(0, client->ExportState()).size();
+}
+
+/// A cold store whose hot set holds two and a half trained CIP records, so
+/// a sparse cohort both spills and cold-loads, and which records stay
+/// resident depends on the order they are checked in.
+fl::StoreOptions SpillingOptions(const std::string& dir_name) {
+  fl::StoreOptions sopts;
+  sopts.hot_bytes = TrainedCipRecordBytes() * 5 / 2;
+  sopts.shard_clients = 2;
+  sopts.spill_dir = TempPath(dir_name);
+  std::filesystem::remove_all(sopts.spill_dir);
+  return sopts;
+}
+
+constexpr std::size_t kLifecycleClients = 6;
+constexpr std::size_t kLifecycleRounds = 6;
+constexpr float kLifecycleParticipation = 0.5f;
+constexpr std::uint64_t kLifecycleSeed = 41;
+
+/// What one run leaves behind: the log, each round's store counters and the
+/// store's final records.
+struct LifecycleOutcome {
+  fl::FlLog log;
+  std::vector<std::array<std::size_t, 4>> counters;  // hot, cold, evict, spill
+  std::vector<std::pair<std::uint64_t, fl::ClientState>> states;
+};
+
+LifecycleOutcome RunLifecycle(std::size_t budget, const std::string& dir) {
+  auto specs = MakeCipSpecs(kLifecycleClients);
+  const fl::ModelState init = fl::InitialStateFor(specs[0]);
+  fl::ClientStore store =
+      fl::MakeClientStore(std::move(specs), SpillingOptions(dir));
+  fl::FlOptions opts;
+  opts.rounds = kLifecycleRounds;
+  opts.participation = kLifecycleParticipation;
+  opts.max_parallel_clients = budget;
+  LifecycleOutcome out;
+  out.log = fl::FederatedAveraging(init, opts).Run(store, kLifecycleSeed);
+  for (const fl::RoundStats& rs : out.log.telemetry.rounds) {
+    out.counters.push_back({rs.store_hot_hits, rs.store_cold_loads,
+                            rs.store_evictions, rs.store_spills});
+  }
+  out.states = store.ExportStates();
+  return out;
+}
+
+/// The round engine written out serially with the coordinator-side store
+/// calls: materialize the whole cohort, train it in id order, evict it in id
+/// order, fold in id order.
+LifecycleOutcome RunSerialReference(const std::string& dir) {
+  auto specs = MakeCipSpecs(kLifecycleClients);
+  fl::ModelState global = fl::InitialStateFor(specs[0]);
+  fl::ClientStore store =
+      fl::MakeClientStore(std::move(specs), SpillingOptions(dir));
+  LifecycleOutcome out;
+  for (std::size_t round = 1; round <= kLifecycleRounds; ++round) {
+    const fl::StoreStats before = store.stats();
+    const std::vector<std::size_t> cohort =
+        fl::SampleCohort(kLifecycleSeed, round, kLifecycleClients,
+                         kLifecycleParticipation);
+    std::vector<fl::ClientStore::Handle> live;
+    for (const std::size_t k : cohort) live.push_back(store.Materialize(k));
+    fl::TreeAccumulator acc;
+    std::vector<float> losses;
+    for (std::size_t i = 0; i < cohort.size(); ++i) {
+      live[i]->SetGlobal(global);
+      acc.Add(live[i]->TrainLocal(
+          fl::MakeRoundContext(kLifecycleSeed, round, cohort[i])));
+      losses.push_back(live[i]->LastTrainLoss());
+    }
+    for (std::size_t i = 0; i < cohort.size(); ++i) {
+      store.Evict(cohort[i], *live[i]);
+    }
+    global = acc.FinishMean();
+    out.log.client_losses.push_back(std::move(losses));
+    const fl::StoreStats& after = store.stats();
+    out.counters.push_back({after.hot_hits - before.hot_hits,
+                            after.cold_loads - before.cold_loads,
+                            after.evictions - before.evictions,
+                            after.spills - before.spills});
+  }
+  out.log.final_global = std::move(global);
+  out.states = store.ExportStates();
+  return out;
+}
+
+void ExpectSameOutcome(const LifecycleOutcome& a, const LifecycleOutcome& b) {
+  ExpectSameLog(a.log, b.log);
+  EXPECT_EQ(a.counters, b.counters);
+  ASSERT_EQ(a.states.size(), b.states.size());
+  for (std::size_t i = 0; i < a.states.size(); ++i) {
+    EXPECT_EQ(a.states[i].first, b.states[i].first);
+    EXPECT_EQ(fl::EncodeClientRecord(a.states[i].first, a.states[i].second),
+              fl::EncodeClientRecord(b.states[i].first, b.states[i].second))
+        << "client " << a.states[i].first;
+  }
+}
+
+TEST(ClientStore, InPhaseLifecycleMatchesSerialStoreCallsAtEveryBudget) {
+  // Building, training and exporting each cohort member on its runner must
+  // leave the store exactly as the serial Materialize/Evict loop does: same
+  // per-round hot/cold/eviction/spill counts, same records, same log.
+  const LifecycleOutcome reference = RunSerialReference("lifecycle_ref");
+  ASSERT_EQ(reference.counters.size(), kLifecycleRounds);
+  std::size_t hot = 0, cold = 0, spills = 0;
+  for (const auto& c : reference.counters) {
+    hot += c[0];
+    cold += c[1];
+    spills += c[3];
+  }
+  ASSERT_GT(hot, 0u) << "the reference never hit the hot set";
+  ASSERT_GT(cold, 0u) << "the reference never cold-loaded";
+  ASSERT_GT(spills, 0u) << "the reference never spilled";
+  for (const std::size_t budget : {1u, 2u, 4u}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    ExpectSameOutcome(reference,
+                      RunLifecycle(budget, "lifecycle_b" +
+                                               std::to_string(budget)));
+  }
+}
+
+/// Forwards to a real client and counts how many are alive at once.
+class CountingClient : public fl::ClientBase {
+ public:
+  static inline std::atomic<int> alive{0};
+  static inline std::atomic<int> peak{0};
+
+  explicit CountingClient(std::unique_ptr<fl::ClientBase> inner)
+      : inner_(std::move(inner)) {
+    const int now = ++alive;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+  }
+  ~CountingClient() override { --alive; }
+
+  void SetGlobal(const fl::ModelState& g) override { inner_->SetGlobal(g); }
+  fl::ModelState TrainLocal(fl::RoundContext ctx) override {
+    return inner_->TrainLocal(std::move(ctx));
+  }
+  double EvalAccuracy(const data::Dataset& d) override {
+    return inner_->EvalAccuracy(d);
+  }
+  float LastTrainLoss() const override { return inner_->LastTrainLoss(); }
+  const data::Dataset& LocalData() const override {
+    return inner_->LocalData();
+  }
+  fl::ClientState ExportState() const override {
+    return inner_->ExportState();
+  }
+  void RestoreState(const fl::ClientState& s) override {
+    inner_->RestoreState(s);
+  }
+
+ private:
+  std::unique_ptr<fl::ClientBase> inner_;
+};
+
+TEST(ClientStore, AtMostOneClientPerRunnerIsAlive) {
+  constexpr std::size_t kFleet = 8;
+  auto specs = std::make_shared<std::vector<fl::ClientSpec>>(
+      MakeCipSpecs(kFleet));
+  const fl::ModelState init = fl::InitialStateFor((*specs)[0]);
+  for (const std::size_t budget : {1u, 2u, 4u}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    fl::ClientStore store(
+        kFleet,
+        [specs](std::size_t id) -> std::unique_ptr<fl::ClientBase> {
+          return std::make_unique<CountingClient>(
+              fl::MakeClient((*specs)[id]));
+        },
+        SpillingOptions("alive_b" + std::to_string(budget)));
+    CountingClient::peak = 0;
+    fl::FlOptions opts;
+    opts.rounds = 2;  // the whole fleet is the cohort: 8 clients per round
+    opts.max_parallel_clients = budget;
+    fl::FederatedAveraging(init, opts).Run(store, 9);
+    EXPECT_EQ(CountingClient::alive.load(), 0);
+    EXPECT_GE(CountingClient::peak.load(), 1);
+    EXPECT_LE(CountingClient::peak.load(), static_cast<int>(budget));
+  }
+}
+
+TEST(ClientStore, FailedMaterializeKeepsTheRecord) {
+  // A build that throws after Checkout (here the factory itself) must put the
+  // record back: the retry restores the same state instead of a fresh one.
+  auto specs = std::make_shared<std::vector<fl::ClientSpec>>(MakeCipSpecs(2));
+  auto fail = std::make_shared<bool>(false);
+  fl::ClientStore store(
+      2,
+      [specs, fail](std::size_t id) -> std::unique_ptr<fl::ClientBase> {
+        CIP_CHECK_MSG(!*fail, "injected factory failure");
+        return fl::MakeClient((*specs)[id]);
+      },
+      fl::StoreOptions{});
+  store.Evict(1, *store.Materialize(1));
+  fl::ClientState before;
+  ASSERT_TRUE(store.PeekState(1, before));
+  *fail = true;
+  EXPECT_THROW(store.Materialize(1), CheckError);
+  *fail = false;
+  fl::ClientState after;
+  ASSERT_TRUE(store.PeekState(1, after));
+  EXPECT_EQ(fl::EncodeClientRecord(1, before),
+            fl::EncodeClientRecord(1, after));
+  const fl::ClientStore::Handle h = store.Materialize(1);
+  EXPECT_EQ(fl::EncodeClientRecord(1, h->ExportState()),
+            fl::EncodeClientRecord(1, before));
 }
 
 TEST(ClientStore, BorrowedStoreMatchesColdFactoryStore) {
